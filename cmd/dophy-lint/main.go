@@ -1,5 +1,5 @@
-// Command dophy-lint statically enforces the repo's determinism and
-// ownership invariants (see DESIGN.md, "Determinism & invariants" and
+// Command dophy-lint statically enforces the repo's determinism
+// invariants (see DESIGN.md, "Determinism & invariants" and
 // "Static allocation discipline & determinism taint").
 //
 // Usage:
@@ -22,8 +22,6 @@
 // -hotpaths prints the //dophy:hotpath inventory instead of linting;
 // -write-inventory regenerates the committed hotpath-inventory.txt from the
 // same data, so CI can fail when the golden drifts from the annotations.
-// -effects prints the write-effect contract inventory (//dophy:readonly,
-// //dophy:effects, field-level //dophy:transfers) the same way.
 // -rule <name,...> restricts reporting to the named rules (the full
 // catalogue still runs, so waiver bookkeeping is unchanged; pragma-hygiene
 // diagnostics appear only on unfiltered runs). Unknown names exit 2.
@@ -63,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	github := fs.Bool("github", false, "emit GitHub Actions ::error annotations alongside the text output")
 	hotpaths := fs.Bool("hotpaths", false, "print the //dophy:hotpath function inventory and exit")
-	effects := fs.Bool("effects", false, "print the //dophy:readonly///dophy:effects contract inventory and exit")
 	writeInventory := fs.Bool("write-inventory", false, "rewrite hotpath-inventory.txt at the module root and exit")
 	ruleSpec := fs.String("rule", "", "comma-separated rule names to run (default: all rules)")
 	diffRef := fs.String("diff", "", "report only diagnostics in files changed relative to this git ref (plus untracked files)")
@@ -107,12 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *hotpaths || *effects {
-		inv := lint.Inventory
-		if *effects {
-			inv = lint.EffectsInventory
-		}
-		lines, err := inventoryLines(dir, inv)
+	if *hotpaths {
+		lines, err := inventoryLines(dir)
 		if err != nil {
 			fmt.Fprintln(stderr, "dophy-lint:", err)
 			return 2
@@ -124,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *writeInventory {
 		path := filepath.Join(dir, "hotpath-inventory.txt")
-		lines, err := inventoryLines(dir, lint.Inventory)
+		lines, err := inventoryLines(dir)
 		if err != nil {
 			fmt.Fprintln(stderr, "dophy-lint:", err)
 			return 2
@@ -304,12 +297,11 @@ func emitGitHub(w io.Writer, root string, d lint.Diagnostic) {
 	fmt.Fprintf(w, "::error file=%s,line=%d,col=%d::%s\n", file, d.Pos.Line, d.Pos.Column, msg)
 }
 
-// inventoryLines returns the union of an annotation inventory over every
-// tag set, one entry per line, sorted. With lint.Inventory it is the source
-// of the committed hotpath-inventory.txt golden (-hotpaths prints it,
-// -write-inventory rewrites the file); with lint.EffectsInventory it backs
-// -effects.
-func inventoryLines(dir string, inv func(*lint.Module) []string) ([]string, error) {
+// inventoryLines returns the union of the hot-path inventory over every tag
+// set, one entry per line, sorted: the source of the committed
+// hotpath-inventory.txt golden (-hotpaths prints it, -write-inventory
+// rewrites the file).
+func inventoryLines(dir string) ([]string, error) {
 	seen := map[string]bool{}
 	var all []string
 	for _, tags := range tagSets {
@@ -317,14 +309,14 @@ func inventoryLines(dir string, inv func(*lint.Module) []string) ([]string, erro
 		if err != nil {
 			return nil, err
 		}
-		for _, line := range inv(mod) {
+		for _, line := range lint.Inventory(mod) {
 			if !seen[line] {
 				seen[line] = true
 				all = append(all, line)
 			}
 		}
 	}
-	// Each inventory is sorted per pass; the union of two sorted lists needs
+	// The inventory is sorted per pass; the union of two sorted lists needs
 	// one more sort to interleave tag-gated entries correctly.
 	sort.Strings(all)
 	return all, nil

@@ -26,8 +26,6 @@ type Code struct {
 }
 
 // Build constructs a canonical Huffman code from frequencies (each >= 1).
-//
-//dophy:readonly freq -- callers keep accumulating into the histogram after building a code from it
 func Build(freq []uint32) *Code {
 	n := len(freq)
 	if n == 0 {

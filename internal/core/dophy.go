@@ -398,7 +398,7 @@ func (d *Dophy) decodeWith(origin topo.NodeID, data []byte, nHops int, countMode
 	links := d.linkBuf[:0]
 	counts := d.countBuf[:0]
 	for cur != topo.Sink {
-		if len(links) > nHops {
+		if len(links) >= nHops {
 			//dophy:allow hotpathalloc -- cold corruption guard: runs only when a decode fails, never on the healthy path
 			return nil, nil, fmt.Errorf("core: decode overran %d hops", nHops)
 		}

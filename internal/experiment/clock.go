@@ -11,7 +11,7 @@ import (
 // sim-seconds-per-wall-second, so the wall clock is the quantity being
 // measured, not an input to any simulated outcome.
 //
-//dophy:allow nowalltime -- T4 measures wall-clock throughput; never feeds sim state
+//dophy:allow determflow -- T4 measures wall-clock throughput; never feeds sim state
 var timeNow = time.Now
 
 // simTimeAlias lets extension experiments write durations without importing

@@ -56,10 +56,8 @@ func Incremental() bool { return incremental.Load() }
 type epochCut struct {
 	// The outcome travels with the cut: once the cut is sent, the estimation
 	// stage owns it and finishes it (the one sanctioned write through a cut).
-	//
-	//dophy:transfers -- ownership of the outcome moves with the cut to the estimation stage
-	out *EpochOutcome   //dophy:owner immutable -- built by cutEpoch; the estimation stage finishes and returns it
-	obs *epochobs.Epoch //dophy:owner immutable -- the estimators' input; next epoch's DiffFrom only reads it
+	out *EpochOutcome   // built by cutEpoch; the estimation stage finishes and returns it
+	obs *epochobs.Epoch // the estimators' input; next epoch's DiffFrom only reads it
 }
 
 // estBank is the estimation stage's state: the inference estimators whose
@@ -68,9 +66,9 @@ type epochCut struct {
 // under sequential Run, the single estimation goroutine under
 // RunPipelined — may call estimate.
 type estBank struct {
-	lt      *topo.LinkTable //dophy:owner immutable
-	mincEst *minc.Estimator //dophy:owner immutable -- the pointer; the estimator's own scratch mutates only under estimate
-	lsqEst  *lsq.Estimator  //dophy:owner immutable -- the pointer; the estimator's own scratch mutates only under estimate
+	lt      *topo.LinkTable
+	mincEst *minc.Estimator // the pointer; the estimator's own scratch mutates only under estimate
+	lsqEst  *lsq.Estimator  // the pointer; the estimator's own scratch mutates only under estimate
 }
 
 // newEstBank builds the MINC/LSQ estimator pair, enabling incremental
@@ -89,10 +87,6 @@ func newEstBank(lt *topo.LinkTable, maxAttempts int) estBank {
 
 // estimate runs the inference estimators over one cut and completes its
 // EpochOutcome. Called once per cut, in epoch order.
-//
-//dophy:window
-//dophy:readonly c -- the cut is shared with the simulation side's run totals; only the transferred outcome may be written
-//dophy:effects noglobals -- estimation must not touch package state: the pipeline runs it concurrently with the simulator
 func (b *estBank) estimate(c *epochCut) *EpochOutcome {
 	eo := c.out
 	start := nowNanos()
@@ -110,20 +104,16 @@ func (b *estBank) estimate(c *epochCut) *EpochOutcome {
 	return eo
 }
 
-// spawnEst starts the estimation stage. It exists so the hand-off is a
-// single annotated statement: after the go statement the caller owns
-// nothing it passed — the bank and both channel ends belong to the
+// spawnEst starts the estimation stage. After the go statement the caller
+// owns nothing it passed — the bank and both channel ends belong to the
 // estimation goroutine until outs is closed.
 func spawnEst(b *estBank, cuts <-chan *epochCut, outs chan<- *EpochOutcome) {
-	//dophy:transfers -- the bank and channels belong to the estimation goroutine until outs closes
 	go estLoop(b, cuts, outs)
 }
 
 // estLoop drains cuts in order, estimating each and forwarding the
 // finished outcome. It closes outs when cuts closes, which is the
 // pipeline's termination signal.
-//
-//dophy:window
 func estLoop(b *estBank, cuts <-chan *epochCut, outs chan<- *EpochOutcome) {
 	for c := range cuts {
 		outs <- b.estimate(c)
@@ -152,7 +142,6 @@ func RunPipelined(sc Scenario) *RunResult {
 		// receive side below only collects finished outcomes.
 		totalPackets += c.out.Truth.Delivered
 		totalChanges += c.out.Truth.ParentChanges
-		//dophy:transfers -- the cut belongs to the estimation goroutine once sent
 		cuts <- c
 		if e >= 1 {
 			eo := <-outs

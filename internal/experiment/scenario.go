@@ -93,8 +93,6 @@ type RadioSpec struct {
 }
 
 // Build instantiates the radio model.
-//
-//dophy:readonly t -- every model shares the one topology; construction must not rewrite it
 func (rs RadioSpec) Build(t *topo.Topology, seed uint64) radio.Model {
 	bp := radio.DefaultBase()
 	var m radio.Model
@@ -193,9 +191,6 @@ type SchemeEpoch struct {
 }
 
 // LossAt returns the scheme's estimate for one link.
-//
-//dophy:readonly recv -- scheme epochs are results; readers must not rewrite them
-//dophy:effects noglobals
 func (s *SchemeEpoch) LossAt(l topo.Link) (float64, bool) {
 	if s.Table == nil {
 		return 0, false
@@ -208,9 +203,6 @@ func (s *SchemeEpoch) LossAt(l topo.Link) (float64, bool) {
 }
 
 // NumEstimated counts links the scheme estimated this epoch.
-//
-//dophy:readonly recv -- scheme epochs are results; readers must not rewrite them
-//dophy:effects noglobals
 func (s *SchemeEpoch) NumEstimated() int {
 	n := 0
 	for _, v := range s.Loss {
@@ -222,9 +214,6 @@ func (s *SchemeEpoch) NumEstimated() int {
 }
 
 // BitsPerPacket is the mean in-packet cost.
-//
-//dophy:readonly recv -- scheme epochs are results; readers must not rewrite them
-//dophy:effects noglobals
 func (s *SchemeEpoch) BitsPerPacket() float64 {
 	if s.Packets == 0 {
 		return 0
@@ -233,9 +222,6 @@ func (s *SchemeEpoch) BitsPerPacket() float64 {
 }
 
 // BitsPerHop is the mean per-hop annotation cost.
-//
-//dophy:readonly recv -- scheme epochs are results; readers must not rewrite them
-//dophy:effects noglobals
 func (s *SchemeEpoch) BitsPerHop() float64 {
 	if s.Hops == 0 {
 		return 0
@@ -255,9 +241,6 @@ type Accuracy struct {
 }
 
 // Score computes Accuracy for a scheme epoch against the trace epoch.
-//
-//dophy:readonly se truth -- scoring compares two finished artefacts; it owns neither
-//dophy:effects noglobals
 func Score(se *SchemeEpoch, truth *trace.Epoch, minAttempts int64) Accuracy {
 	active := truth.ActiveLinkCount(minAttempts)
 	// Table order is ascending (From, To), so the float summations below
@@ -358,8 +341,6 @@ const (
 //
 // Consumers and annotators attach only before the first epoch runs — an
 // epoch they missed can never be replayed.
-//
-//dophy:states fresh: SubscribeJourneys|AttachAnnotator -> fresh, RunEpoch -> running; running: RunEpoch -> running
 type Session struct {
 	sc       Scenario
 	tp       *topo.Topology
@@ -440,12 +421,26 @@ func NewSession(sc Scenario) *Session {
 func (s *Session) Topology() *topo.Topology { return s.tp }
 
 // SubscribeJourneys registers an extra consumer of every completed journey
-// (e.g. the trace exporter). Call before the first RunEpoch.
-func (s *Session) SubscribeJourneys(fn collect.JourneyFunc) { s.nw.Subscribe(fn) }
+// (e.g. the trace exporter). It panics after the first RunEpoch.
+func (s *Session) SubscribeJourneys(fn collect.JourneyFunc) {
+	s.mustBeFresh("SubscribeJourneys")
+	s.nw.Subscribe(fn)
+}
 
 // AttachAnnotator registers a hop-by-hop annotator (the distributed
-// encoding path). Call before the first RunEpoch.
-func (s *Session) AttachAnnotator(a collect.Annotator) { s.nw.AttachAnnotator(a) }
+// encoding path). It panics after the first RunEpoch.
+func (s *Session) AttachAnnotator(a collect.Annotator) {
+	s.mustBeFresh("AttachAnnotator")
+	s.nw.AttachAnnotator(a)
+}
+
+// mustBeFresh rejects a late attachment: the consumer would silently miss
+// every epoch already run.
+func (s *Session) mustBeFresh(op string) {
+	if s.epoch > 0 {
+		panic(fmt.Sprintf("experiment: %s after epoch %d has run; attach consumers before the first RunEpoch", op, s.epoch))
+	}
+}
 
 // BeaconsSent exposes the routing protocol's control-plane transmissions.
 func (s *Session) BeaconsSent() int64 { return s.proto.BeaconsSent }

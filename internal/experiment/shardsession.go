@@ -64,8 +64,6 @@ type ShardStats struct {
 // source shard. It implements routing.Fabric and collect.Fabric. Each
 // shard gets its own instance so the hop-carrier pool below is
 // single-writer.
-//
-//dophy:owner shard
 type shardFabric struct {
 	s    *ShardedSession
 	src  topo.ShardID
@@ -75,12 +73,10 @@ type shardFabric struct {
 // hopCarrier is a pooled continuation for same-shard packet arrivals — the
 // sharded counterpart of collect's hopCont. Cross-shard arrivals allocate a
 // closure instead: they are the cut fraction, and pooling across shards
-// would make the free lists multi-writer. The pool hand-off in run is a
-// //dophy:transfers point: once a carrier is back on the free list the
-// sendown rule forbids touching it, which is what makes the pooled
-// recycling provably safe inside the concurrency boundary.
-//
-//dophy:owner shard
+// would make the free lists multi-writer. Once a carrier is back on the
+// free list the next carrier() call owns it; TestShardedByteDeterminism
+// pins that hand-off, since a write to c after the pool append corrupts
+// the next in-flight journey.
 type hopCarrier struct {
 	f  *shardFabric
 	to topo.NodeID
@@ -89,16 +85,13 @@ type hopCarrier struct {
 }
 
 // run is the carrier's continuation: it reads its payload into locals,
-// returns itself to the pool, and only then delivers — the canonical
-// hand-off shape the sendown rule enforces (no field of c may be touched
-// after the pool append).
+// returns itself to the pool, and only then delivers: no field of c may
+// be touched after the pool append.
 //
 //dophy:hotpath
-//dophy:window
 func (c *hopCarrier) run() {
 	f, to, j := c.f, c.to, c.j
 	c.j = nil
-	//dophy:transfers -- c is back on the free list; the next carrier() owns it
 	f.free = append(f.free, c)
 	f.s.nws[f.src].Arrive(to, j)
 }
@@ -125,25 +118,22 @@ func (f *shardFabric) carrier(to topo.NodeID, j *collect.PacketJourney) *hopCarr
 // the current window.
 //
 //dophy:hotpath
-//dophy:window
 func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.PacketJourney) {
 	s := f.s
 	dst := s.owner[to]
 	if dst == f.src {
-		//dophy:transfers -- the pooled carrier now owns j until it lands
 		s.eng.Sub(f.src).Schedule(at, f.carrier(to, j).fn)
 		return
 	}
 	nw := s.nws[dst]
 	//dophy:allow hotpathalloc -- cross-shard forward: the closure carries the journey over the barrier; cut traffic only
-	s.eng.Send(f.src, at, from, dst, func() { nw.Arrive(to, j) }) //dophy:transfers -- j rides the outbox to shard dst; this shard may not touch it again
+	s.eng.Send(f.src, at, from, dst, func() { nw.Arrive(to, j) }) // j rides the outbox to shard dst; this shard may not touch it again
 }
 
 // DeliverBeacon applies a received beacon on the receiver's owning shard
 // after the configured beacon latency.
 //
 //dophy:hotpath
-//dophy:window
 func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedETX float64) {
 	s := f.s
 	dst := s.owner[to]
@@ -166,36 +156,36 @@ func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedE
 // coordinator. Windows partition virtual time, so the concatenation of
 // per-window flushes is itself globally sorted and identical at any K.
 type ShardedSession struct {
-	sc        Scenario        //dophy:owner immutable
-	sp        ShardSpec       //dophy:owner immutable
-	lookahead sim.Time        //dophy:owner immutable
-	tp        *topo.Topology  //dophy:owner immutable
-	lt        *topo.LinkTable //dophy:owner immutable
-	eng       *shard.Engine   //dophy:owner immutable -- the coordinator handle; windowing happens inside it
-	owner     []topo.ShardID  //dophy:owner immutable -- topo.Partition's node->shard map
-	cutLinks  int             //dophy:owner immutable
+	sc        Scenario
+	sp        ShardSpec
+	lookahead sim.Time
+	tp        *topo.Topology
+	lt        *topo.LinkTable
+	eng       *shard.Engine  // the coordinator handle; windowing happens inside it
+	owner     []topo.ShardID // topo.Partition's node->shard map
+	cutLinks  int
 	// Per-shard stacks: window code reaches them only through a typed
-	// ShardID index, so shards provably never alias each other's state.
-	recs   []*trace.Recorder          //dophy:owner shard
-	protos []*routing.Protocol        //dophy:owner shard
-	nws    []*collect.Network         //dophy:owner shard
-	fabs   []*shardFabric             //dophy:owner shard
-	bufs   [][]*collect.PacketJourney //dophy:owner shard -- journeys completed since the last flush, per shard
-	fmerge []*collect.PacketJourney   //dophy:owner engine -- flush merge scratch
+	// ShardID index, so shards never alias each other's state.
+	recs   []*trace.Recorder
+	protos []*routing.Protocol
+	nws    []*collect.Network
+	fabs   []*shardFabric
+	bufs   [][]*collect.PacketJourney // journeys completed since the last flush, per shard
+	fmerge []*collect.PacketJourney   // flush merge scratch
 
 	// The estimator bank runs on the coordinator only, fed sequentially at
 	// window barriers.
-	dophyEng *core.Dophy          //dophy:owner engine
-	dophyNA  *core.Dophy          //dophy:owner engine
-	raw      *pathrecord.Recorder //dophy:owner engine
-	compact  *pathrecord.Recorder //dophy:owner engine
-	huff     *pathrecord.Recorder //dophy:owner engine
-	obsCol   *epochobs.Collector  //dophy:owner engine
-	bank     estBank              //dophy:owner engine
+	dophyEng *core.Dophy
+	dophyNA  *core.Dophy
+	raw      *pathrecord.Recorder
+	compact  *pathrecord.Recorder
+	huff     *pathrecord.Recorder
+	obsCol   *epochobs.Collector
+	bank     estBank
 
-	perPacket      []PacketSample //dophy:owner engine
-	epoch          int            //dophy:owner engine
-	lastQueueDrops int64          //dophy:owner engine
+	perPacket      []PacketSample
+	epoch          int
+	lastQueueDrops int64
 }
 
 // NewShardedSession partitions the scenario's topology, builds one
@@ -315,13 +305,8 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 }
 
 // bufferJourney parks a journey completed by shard k until the next flush.
-// It runs as collect's completion subscriber inside k's window, which the
-// annotation declares — subscriber dispatch is a function value the call
-// graph cannot see through.
-//
-//dophy:window
+// It runs as collect's completion subscriber inside k's window.
 func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney) {
-	//dophy:transfers -- j is parked for the coordinator; the shard is done with it
 	s.bufs[k] = append(s.bufs[k], j)
 }
 
@@ -330,8 +315,6 @@ func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney)
 // global feed sequence is identical at every shard count — and feeds the
 // estimators. Runs on the coordinator: at window barriers for K > 1, after
 // Run returns for K == 1.
-//
-//dophy:barrier
 func (s *ShardedSession) flush() {
 	m := s.fmerge[:0]
 	for k := range s.bufs {
@@ -397,8 +380,6 @@ func (s *ShardedSession) Topology() *topo.Topology { return s.tp }
 
 // BeaconsSent sums the control-plane cost over all shards. Like every
 // cross-shard reader below, it must only run with the workers parked.
-//
-//dophy:barrier
 func (s *ShardedSession) BeaconsSent() int64 {
 	var total int64
 	for _, p := range s.protos {
@@ -411,8 +392,6 @@ func (s *ShardedSession) BeaconsSent() int64 {
 func (s *ShardedSession) Events() uint64 { return s.eng.Processed() }
 
 // Routed counts nodes (excluding the sink) that currently have a parent.
-//
-//dophy:barrier
 func (s *ShardedSession) Routed() int {
 	n := 0
 	for _, p := range s.protos {
@@ -434,8 +413,6 @@ func (s *ShardedSession) Stats() ShardStats {
 }
 
 // queueDrops sums congestion losses over all shards.
-//
-//dophy:barrier
 func (s *ShardedSession) queueDrops() int64 {
 	var total int64
 	for _, nw := range s.nws {
@@ -447,8 +424,6 @@ func (s *ShardedSession) queueDrops() int64 {
 // RunEpoch advances the simulation one epoch and harvests every attached
 // scheme, mirroring Session.RunEpoch. It drains per-shard recorders, so it
 // runs strictly between Run windows.
-//
-//dophy:barrier
 func (s *ShardedSession) RunEpoch() *EpochOutcome {
 	s.epoch++
 	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // HotPragma annotates a function declaration (in its doc comment) as a
@@ -85,13 +84,7 @@ type FuncNode struct {
 	// Hot is set when the declaration carries a //dophy:hotpath annotation.
 	Hot    bool
 	HotPos token.Pos
-	// Window and Barrier capture the //dophy:window / //dophy:barrier
-	// concurrency-contract annotations (contracts.go).
-	Window     bool
-	WindowPos  token.Pos
-	Barrier    bool
-	BarrierPos token.Pos
-	Calls      []Edge
+	Calls  []Edge
 	// callers is the reverse adjacency, filled after all edges exist.
 	callers []callerRef
 }
@@ -162,14 +155,6 @@ func (m *Module) CallGraph() *CallGraph {
 							node.Hot = true
 							node.HotPos = c.Pos()
 						}
-						if _, ok := directiveArg(c.Text, WindowPragma); ok {
-							node.Window = true
-							node.WindowPos = c.Pos()
-						}
-						if _, ok := directiveArg(c.Text, BarrierPragma); ok {
-							node.Barrier = true
-							node.BarrierPos = c.Pos()
-						}
 					}
 				}
 				cg.Nodes[obj] = node
@@ -234,8 +219,8 @@ func (m *Module) CallGraph() *CallGraph {
 }
 
 func isHotPragma(text string) bool {
-	rest, ok := strings.CutPrefix(text, HotPragma)
-	return ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t')
+	_, ok := directiveArg(text, HotPragma)
+	return ok
 }
 
 // collectAddrTakenLeaf registers one identifier or selector as an

@@ -21,7 +21,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Msg)
 }
 
-// Rule is one determinism/ownership invariant check.
+// Rule is one determinism invariant check.
 type Rule interface {
 	// Name is the rule's identifier, used in diagnostics and pragmas.
 	Name() string
@@ -32,19 +32,10 @@ type Rule interface {
 // AllRules returns the full rule catalogue.
 func AllRules() []Rule {
 	return []Rule{
-		ruleRand{}, ruleWallTime{}, ruleMapRange{}, ruleGoStmt{}, rulePoolEscape{}, ruleDenseBound{},
-		ruleHotPathAlloc{}, ruleDetermFlow{}, ruleIdxDomain{}, ruleValRange{}, ruleExhaustive{},
-		ruleOwnerCross{}, ruleSendOwn{}, ruleBarrierOrder{}, ruleLifecycle{}, ruleBorrowSpan{},
-		ruleReadOnly{}, ruleEffects{},
+		ruleMapRange{}, ruleGoStmt{}, rulePoolEscape{}, ruleDenseBound{}, ruleHotPathAlloc{},
+		ruleDetermFlow{}, ruleIdxDomain{}, ruleValRange{}, ruleExhaustive{},
 	}
 }
-
-// PragmaPrefix introduces an in-source waiver comment:
-//
-//	//dophy:allow <rule> -- <justification>
-//
-// placed on the offending line or the line directly above it.
-const PragmaPrefix = "//dophy:allow"
 
 // allowKey identifies one waived (file, line, rule) site.
 type allowKey struct {

@@ -5,7 +5,7 @@
 // The engine loads every package in the module (respecting //go:build
 // constraints for a configurable tag set), type-checks them against each
 // other with a module-local importer, and applies one Rule per
-// determinism/ownership invariant. See rules.go for the rule catalogue and
+// determinism invariant. See rules.go for the rule catalogue and
 // DESIGN.md ("Determinism & invariants") for the contract being enforced.
 //
 // Diagnostics can be waived in place with a pragma comment on the offending
@@ -86,33 +86,9 @@ type Module struct {
 	// enums caches the per-named-type member sets the exhaustive rule
 	// derives from package scopes (domain_rules.go).
 	enums map[*types.Named][]enumMember
-	// conInfo/conDiags/conDone cache the concurrency-contract layer
-	// (contracts.go): parsed annotations and the whole-module diagnostics of
-	// the ownercross/sendown/barrierorder rules, both pragma-independent.
-	conInfo  *contractInfo
-	conDiags []contractDiag
-	conDone  bool
-	// tsInfo/tsDiags/tsDone cache the typestate layer (typestate.go):
-	// parsed //dophy:states DFAs and the lifecycle rule's whole-module
-	// diagnostics.
-	tsInfo  *typestateInfo
-	tsDiags []contractDiag
-	tsDone  bool
-	// bwInfo/bwDiags/bwDone cache the borrow layer (borrow.go): parsed
-	// //dophy:returns / //dophy:invalidates annotations and the borrowspan
-	// rule's whole-module diagnostics.
-	bwInfo  *borrowInfo
-	bwDiags []contractDiag
-	bwDone  bool
-	// effInfo/effSums/effFacts/effDiags/effDone cache the write-effect layer
-	// (effects.go): parsed //dophy:readonly / //dophy:effects annotations,
-	// per-function write-effect summaries and per-node violation facts, and
-	// the readonly/effects rules' whole-module diagnostics.
-	effInfo  *effectsInfo
-	effSums  map[*FuncNode]*effectSummary
-	effFacts map[*FuncNode]*effFacts
-	effDiags []contractDiag
-	effDone  bool
+	// boundaries caches the //dophy:concurrency-boundary files that nogo
+	// and determflow exempt (rules.go).
+	boundaries map[*File]*boundaryFile
 }
 
 // LoadConfig parameterises module loading.

@@ -14,44 +14,75 @@ import (
 // below it (so it can trail the offending statement or sit above it).
 // Several rules may be waived at once when distinct analyses flag the
 // same site for the same underlying reason.
+//
+// A //dophy: comment naming any other directive than the three the engine
+// reads (allow, hotpath, concurrency-boundary) is parsed as a pragma too,
+// with stray set: it waives nothing and is reported as malformed, so a
+// typo such as //dophy:hotpth cannot silently drop a function out of
+// hotpathalloc.
 type pragma struct {
 	pos    token.Pos
 	file   string
 	line   int
 	rules  []string
 	reason string
+	// stray is the name of an unknown //dophy: directive ("" for waivers).
+	stray string
 	// used marks rules that actually suppressed a diagnostic (or cut a
 	// taint chain) during the current Run; a rule that stays unused is a
 	// stale waiver and a diagnostic itself.
 	used map[string]bool
 }
 
-// parsePragmas scans a file's comments for waiver pragmas.
+// directivePrefix introduces every dophy-lint comment directive.
+const directivePrefix = "//dophy:"
+
+// knownDirectives are the //dophy: directives the engine reads.
+var knownDirectives = map[string]bool{"allow": true, "hotpath": true, "concurrency-boundary": true}
+
+// directiveArg matches text against a //dophy: directive prefix and returns
+// the trimmed remainder. The prefix must be followed by whitespace or
+// nothing, so near-misses like //dophy:allowx do not match.
+func directiveArg(text, prefix string) (string, bool) {
+	rest, ok := strings.CutPrefix(text, prefix)
+	if !ok {
+		return "", false
+	}
+	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return "", false
+	}
+	return strings.TrimSpace(rest), true
+}
+
+// parsePragmas scans a file's comments for waiver pragmas and stray
+// directives.
 func parsePragmas(fset *token.FileSet, f *ast.File) []*pragma {
 	var out []*pragma
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, PragmaPrefix)
+			rest, ok := strings.CutPrefix(c.Text, directivePrefix)
 			if !ok {
 				continue
 			}
-			// Reject "//dophy:allowx"-style near-misses: the prefix must be
-			// followed by whitespace (or nothing, which is a malformed
-			// pragma reported below).
-			if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-				continue
-			}
-			spec, reason, hasReason := strings.Cut(rest, "--")
-			p := &pragma{
-				pos:   c.Pos(),
-				rules: strings.Fields(spec),
-				used:  map[string]bool{},
-			}
-			if hasReason {
-				p.reason = strings.TrimSpace(reason)
-			}
+			p := &pragma{pos: c.Pos(), used: map[string]bool{}}
 			position := fset.Position(c.Pos())
 			p.file, p.line = position.Filename, position.Line
+			name := rest
+			if i := strings.IndexAny(rest, " \t"); i >= 0 {
+				name = rest[:i]
+			}
+			switch {
+			case name == "allow":
+				spec, reason, hasReason := strings.Cut(rest[len(name):], "--")
+				p.rules = strings.Fields(spec)
+				if hasReason {
+					p.reason = strings.TrimSpace(reason)
+				}
+			case knownDirectives[name]:
+				continue
+			default:
+				p.stray = name
+			}
 			out = append(out, p)
 		}
 	}
@@ -115,8 +146,9 @@ func (idx *pragmaIndex) allowedLine(rule, file string, line int) bool {
 // pragmas themselves (malformed, unknown rule, stale).
 const pragmaRuleName = "pragma"
 
-// malformedPragmaDiags reports structurally broken pragmas: no rules
-// named, a rule name the engine does not know, or a missing justification.
+// malformedPragmaDiags reports structurally broken pragmas: an unknown
+// directive, no rules named, a rule name the engine does not know, or a
+// missing justification.
 // These do not depend on which diagnostics fired, so they are stable
 // across tag sets.
 func (idx *pragmaIndex) malformedPragmaDiags() []Diagnostic {
@@ -129,6 +161,10 @@ func (idx *pragmaIndex) malformedPragmaDiags() []Diagnostic {
 		})
 	}
 	for _, p := range idx.all {
+		if p.stray != "" {
+			report(p, "unknown directive //dophy:"+p.stray+"; the engine reads only //dophy:allow, //dophy:hotpath and //dophy:concurrency-boundary")
+			continue
+		}
 		if len(p.rules) == 0 {
 			report(p, "waiver names no rules; write //dophy:allow <rule> -- <justification>")
 			continue

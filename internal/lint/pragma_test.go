@@ -8,8 +8,9 @@ import (
 )
 
 // pragmaSrc covers the parsing corners: several rules on one line, a
-// missing "--" justification, a near-miss prefix, a nameless waiver, and an
-// unknown rule name.
+// missing "--" justification, a near-miss prefix (an unknown directive, not
+// a waiver), a nameless waiver, an unknown rule name, and a known non-waiver
+// directive that parses to nothing.
 const pragmaSrc = `package p
 
 //dophy:allow hotpathalloc determflow -- both flagged for the same reason
@@ -26,6 +27,9 @@ var d int
 
 //dophy:allow nosuchrule -- unknown
 var e int
+
+//dophy:hotpath
+func f() {}
 `
 
 func parsePragmaFixture(t *testing.T) (*token.FileSet, []*pragma) {
@@ -58,13 +62,17 @@ func fixtureIndex(t *testing.T) *pragmaIndex {
 	return idx
 }
 
-// TestParsePragmas checks the raw parse: the near-miss //dophy:allowx is
-// skipped, several rules on one line are all collected, and a pragma with
-// no "--" gets an empty reason rather than swallowing trailing words.
+// TestParsePragmas checks the raw parse: the near-miss //dophy:allowx is a
+// stray directive that waives nothing, //dophy:hotpath is not a pragma,
+// several rules on one line are all collected, and a pragma with no "--"
+// gets an empty reason rather than swallowing trailing words.
 func TestParsePragmas(t *testing.T) {
 	_, ps := parsePragmaFixture(t)
-	if len(ps) != 4 {
-		t.Fatalf("parsed %d pragmas, want 4 (the //dophy:allowx near-miss must be skipped)", len(ps))
+	if len(ps) != 5 {
+		t.Fatalf("parsed %d pragmas, want 5 (four waivers and the //dophy:allowx stray)", len(ps))
+	}
+	if stray := ps[2]; stray.stray != "allowx" || len(stray.rules) != 0 {
+		t.Errorf("near-miss parsed as stray %q with rules %v, want stray \"allowx\" and no rules", stray.stray, stray.rules)
 	}
 	multi := ps[0]
 	if len(multi.rules) != 2 || multi.rules[0] != "hotpathalloc" || multi.rules[1] != "determflow" {
@@ -80,7 +88,7 @@ func TestParsePragmas(t *testing.T) {
 	if noReason.reason != "" {
 		t.Errorf("pragma without -- should have empty reason, got %q", noReason.reason)
 	}
-	if nameless := ps[2]; len(nameless.rules) != 0 {
+	if nameless := ps[3]; len(nameless.rules) != 0 {
 		t.Errorf("nameless pragma parsed rules %v, want none", nameless.rules)
 	}
 }
@@ -112,12 +120,13 @@ func TestPragmaWaiverPlacement(t *testing.T) {
 	}
 }
 
-// TestMalformedPragmaDiags checks the three malformation reports: no rules
-// named, unknown rule name, and missing justification.
+// TestMalformedPragmaDiags checks the four malformation reports: unknown
+// directive, no rules named, unknown rule name, and missing justification.
 func TestMalformedPragmaDiags(t *testing.T) {
 	idx := fixtureIndex(t)
 	diags := idx.malformedPragmaDiags()
 	wants := []string{
+		"unknown directive //dophy:allowx",
 		"waiver names no rules",
 		`waiver names unknown rule "nosuchrule"`,
 		"waiver has no justification",

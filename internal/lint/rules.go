@@ -8,107 +8,6 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Rule norand: the only permitted randomness source is internal/rng.
-//
-// A stray math/rand call is the classic determinism leak: it draws from a
-// global, cross-goroutine-shared stream, so results depend on scheduling and
-// on every other consumer. All randomness must flow from the scenario seed
-// through rng.Source.
-// ---------------------------------------------------------------------------
-
-type ruleRand struct{}
-
-func (ruleRand) Name() string { return "norand" }
-
-func (ruleRand) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	if pkg.RelPath == "internal/rng" {
-		return
-	}
-	for _, file := range pkg.Files {
-		for _, path := range []string{"math/rand", "math/rand/v2"} {
-			names := importNames(file.AST, path)
-			specs := importSpecs(file.AST, path)
-			if len(specs) == 0 {
-				continue
-			}
-			uses := 0
-			ast.Inspect(file.AST, func(n ast.Node) bool {
-				sel, ok := isPkgSelector(n, names)
-				if !ok {
-					return true
-				}
-				if !resolvesToPackage(pkg.Info, sel) {
-					return true
-				}
-				uses++
-				report(sel.Pos(), "use of %s.%s: all randomness must come from %s/internal/rng (seeded, splittable)",
-					path, sel.Sel.Name, m.Path)
-				return true
-			})
-			if uses == 0 {
-				report(specs[0].Pos(), "import of %s is forbidden outside internal/rng; use %s/internal/rng", path, m.Path)
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Rule nowalltime: simulation/estimation packages run on virtual time only.
-//
-// Wall-clock reads make outputs depend on host speed and scheduling; inside
-// the listed packages the only clock is sim.Engine.Now. cmd/ and examples/
-// may time things (they report wall-clock to humans).
-// ---------------------------------------------------------------------------
-
-type ruleWallTime struct{}
-
-func (ruleWallTime) Name() string { return "nowalltime" }
-
-// wallTimeRestricted are the module-relative package prefixes where wall
-// clocks are banned.
-var wallTimeRestricted = []string{
-	"internal/sim", "internal/collect", "internal/routing", "internal/tomo", "internal/experiment",
-}
-
-// wallTimeFuncs are the time package functions that read or schedule on the
-// wall clock.
-var wallTimeFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
-}
-
-func (ruleWallTime) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	restricted := false
-	for _, p := range wallTimeRestricted {
-		if pkg.RelPath == p || strings.HasPrefix(pkg.RelPath, p+"/") {
-			restricted = true
-			break
-		}
-	}
-	if !restricted {
-		return
-	}
-	for _, file := range pkg.Files {
-		names := importNames(file.AST, "time")
-		if len(names) == 0 {
-			continue
-		}
-		ast.Inspect(file.AST, func(n ast.Node) bool {
-			sel, ok := isPkgSelector(n, names)
-			if !ok || !wallTimeFuncs[sel.Sel.Name] {
-				return true
-			}
-			if !resolvesToPackage(pkg.Info, sel) {
-				return true
-			}
-			report(sel.Pos(), "wall-clock time.%s in %s: simulation code runs on sim.Engine virtual time only",
-				sel.Sel.Name, pkg.RelPath)
-			return true
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Rule maprange: no output-order dependence on map iteration.
 //
 // Ranging over a map is fine for commutative accumulation (building another
@@ -304,34 +203,81 @@ func sortedAfter(pkg *Package, fnBody *ast.BlockStmt, pos token.Pos, target type
 // Rule nogo: goroutines live only in declared concurrency boundaries.
 //
 // A single sim.Engine run is strictly sequential by design. A file may opt
-// into spawning goroutines by declaring a //dophy:concurrency-boundary
-// pragma (contracts.go) — which simultaneously opts the whole package into
-// the ownercross/sendown/barrierorder contract rules, so "goroutines
-// allowed" always means "sharing discipline proven". A goroutine anywhere
-// else either races the simulation or makes event order
+// into spawning goroutines by declaring
+//
+//	//dophy:concurrency-boundary -- <why this boundary preserves determinism>
+//
+// which exempts it from nogo and from determflow's goroutine taint. What a
+// boundary does with its goroutines is pinned at run time, not here:
+// TestShardedByteDeterminism (shard engine, K in {1,2,4,8}),
+// TestRunPipelinedMatchesRun (estimation pipeline) and
+// TestRunAllDeterministicAcrossWorkerCounts (sweep pool). A goroutine
+// anywhere else either races the simulation or makes event order
 // scheduling-dependent. The rule also polices boundary hygiene: a pragma
 // without a justification, or in a file that spawns nothing, is itself a
 // diagnostic.
 // ---------------------------------------------------------------------------
+
+// BoundaryPragma sanctions goroutines in the file that carries it.
+const BoundaryPragma = "//dophy:concurrency-boundary"
+
+// boundaryFile is one file carrying a //dophy:concurrency-boundary pragma.
+type boundaryFile struct {
+	pos    token.Pos
+	reason string
+}
+
+// boundaryFiles collects (once) the module's concurrency-boundary files.
+func (m *Module) boundaryFiles() map[*File]*boundaryFile {
+	if m.boundaries != nil {
+		return m.boundaries
+	}
+	m.boundaries = map[*File]*boundaryFile{}
+	for _, pkg := range m.Packages {
+		for _, file := range pkg.Files {
+			for _, cg := range file.AST.Comments {
+				for _, c := range cg.List {
+					arg, ok := directiveArg(c.Text, BoundaryPragma)
+					if !ok || m.boundaries[file] != nil {
+						continue
+					}
+					_, reason, _ := strings.Cut(arg, "--")
+					m.boundaries[file] = &boundaryFile{pos: c.Pos(), reason: strings.TrimSpace(reason)}
+				}
+			}
+		}
+	}
+	return m.boundaries
+}
 
 type ruleGoStmt struct{}
 
 func (ruleGoStmt) Name() string { return "nogo" }
 
 func (ruleGoStmt) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	c := m.contractInfo()
+	boundaries := m.boundaryFiles()
 	for _, file := range pkg.Files {
-		if c.boundary[file] != nil {
-			continue // sanctioned; the contract rules take over from here
-		}
+		bf := boundaries[file]
+		spawns := false
 		ast.Inspect(file.AST, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				report(g.Pos(), "goroutine outside a //dophy:concurrency-boundary file: simulations are single-threaded by construction")
+				spawns = true
+				if bf == nil {
+					report(g.Pos(), "goroutine outside a //dophy:concurrency-boundary file: simulations are single-threaded by construction")
+				}
 			}
 			return true
 		})
+		if bf == nil {
+			continue
+		}
+		if bf.reason == "" {
+			report(bf.pos, "concurrency-boundary pragma has no justification; append ' -- <why this boundary preserves determinism>'")
+		}
+		if !spawns {
+			report(bf.pos, "file declares a concurrency boundary but spawns no goroutines; delete the pragma")
+		}
 	}
-	m.replayContractDiags("nogo", pkg, report)
 }
 
 // ---------------------------------------------------------------------------

@@ -11,29 +11,25 @@ import (
 // ---------------------------------------------------------------------------
 // Rule determflow: nondeterminism must not flow into sim-visible state.
 //
-// The intra-procedural rules (nowalltime, norand, nogo, maprange) catch a
-// source used directly; a source laundered through one helper function
-// escapes all of them. determflow closes that hole with taint propagation
-// over the whole-module call graph:
+// The sources are wall-clock reads (time.Now and friends), math/rand use
+// outside internal/rng, goroutine spawns outside a declared concurrency
+// boundary, and indirect calls whose callee set cannot be resolved at all
+// (assumed nondeterministic — soundness over silence). The sinks are
+// everything the simulation or estimation pipeline can observe: all module
+// code under internal/ plus the root package, except internal/rng (the
+// sanctioned seeded stream; deterministic by contract) and internal/lint
+// (tooling). cmd/ and examples/ may time and parallelise things for humans.
 //
-//   - Sources: wall-clock reads (time.Now and friends), math/rand use
-//     outside internal/rng, goroutine spawns outside the sweep engine, and
-//     indirect calls whose callee set cannot be resolved at all (assumed
-//     nondeterministic — soundness over silence).
-//   - Sinks: everything the simulation or estimation pipeline can observe,
-//     i.e. all module code under internal/ plus the root package — except
-//     internal/rng (the sanctioned seeded stream; deterministic by
-//     contract) and internal/lint (tooling). cmd/ and examples/ may time
-//     and parallelise things for humans.
-//
-// Reports fire at exactly one place per leak, not along the whole chain:
-// at the source itself when it sits inside sink scope (complementing the
-// package lists of the older rules), and at the first call edge where sink
-// code reaches a tainted function outside sink scope — with the full call
-// chain down to the source in the message. A //dophy:allow determflow
-// waiver on a source or on a call edge kills propagation there, so one
-// reviewed waiver at the sanctioned spot (e.g. the T4 wall-clock shim)
-// covers every downstream consumer.
+// Direct uses are reported where they appear: any math/rand reference (or
+// a bare import) anywhere outside internal/rng, and any wall-clock
+// reference — call or function value — inside sink scope. A source
+// laundered through helper functions is caught by taint propagation over
+// the whole-module call graph, reported once per leak at the first call
+// edge where sink code reaches a tainted function outside sink scope, with
+// the full call chain down to the source in the message. A
+// //dophy:allow determflow waiver on a source or on a call edge kills
+// propagation there, so one reviewed waiver at the sanctioned spot (e.g.
+// the T4 wall-clock shim) covers every downstream consumer.
 //
 // determflow also extends maprange inter-procedurally: ranging over a map
 // while calling a module function that transitively writes ordered output
@@ -48,10 +44,66 @@ type ruleDetermFlow struct{}
 func (ruleDetermFlow) Name() string { return determRuleName }
 
 func (ruleDetermFlow) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
+	if !inRNG(pkg.RelPath) {
+		checkRandUse(m, pkg, report)
+	}
+	if sinkScope(pkg.RelPath) {
+		checkWallClock(pkg, report)
+	}
 	for _, d := range m.determDiags() {
 		if d.pkg == pkg {
 			report(d.pos, d.format, d.args...)
 		}
+	}
+}
+
+// checkRandUse reports every math/rand reference in pkg, or the import
+// itself when nothing references it (e.g. a blank import).
+func checkRandUse(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
+	for _, file := range pkg.Files {
+		for _, path := range []string{"math/rand", "math/rand/v2"} {
+			specs := importSpecs(file.AST, path)
+			if len(specs) == 0 {
+				continue
+			}
+			names := importNames(file.AST, path)
+			uses := 0
+			ast.Inspect(file.AST, func(n ast.Node) bool {
+				if sel, ok := isPkgSelector(n, names); ok && resolvesToPackage(pkg.Info, sel) {
+					uses++
+					report(sel.Pos(), "use of %s.%s: all randomness must come from %s/internal/rng (seeded, splittable)",
+						path, sel.Sel.Name, m.Path)
+				}
+				return true
+			})
+			if uses == 0 {
+				report(specs[0].Pos(), "import of %s is forbidden outside internal/rng; use %s/internal/rng", path, m.Path)
+			}
+		}
+	}
+}
+
+// wallTimeFuncs are the time package functions that read or schedule on the
+// wall clock.
+var wallTimeFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
+}
+
+// checkWallClock reports every wall-clock reference in a sink-scope package.
+func checkWallClock(pkg *Package, report func(pos token.Pos, format string, args ...any)) {
+	for _, file := range pkg.Files {
+		names := importNames(file.AST, "time")
+		if len(names) == 0 {
+			continue
+		}
+		ast.Inspect(file.AST, func(n ast.Node) bool {
+			if sel, ok := isPkgSelector(n, names); ok && wallTimeFuncs[sel.Sel.Name] && resolvesToPackage(pkg.Info, sel) {
+				report(sel.Pos(), "wall-clock time.%s in %s: simulation code runs on sim.Engine virtual time only",
+					sel.Sel.Name, pkg.RelPath)
+			}
+			return true
+		})
 	}
 }
 
@@ -93,14 +145,8 @@ func sinkScope(rel string) bool {
 	return rel == "" || rel == "internal" || strings.HasPrefix(rel, "internal/")
 }
 
-func wallTimeRestrictedPkg(rel string) bool {
-	for _, p := range wallTimeRestricted {
-		if rel == p || strings.HasPrefix(rel, p+"/") {
-			return true
-		}
-	}
-	return false
-}
+// inRNG reports whether rel is the sanctioned randomness package.
+func inRNG(rel string) bool { return rel == "internal/rng" || strings.HasPrefix(rel, "internal/rng/") }
 
 // determDiags computes (once per pragma index) every determflow diagnostic.
 // It consults the active Run's pragma index during propagation so a waiver
@@ -116,7 +162,6 @@ func (m *Module) determDiags() []hotDiag {
 	cg := m.CallGraph()
 	var diags []hotDiag
 	allowed := func(pos token.Pos) bool { return idx.allowedAt(determRuleName, pos) }
-	inRNG := func(rel string) bool { return rel == "internal/rng" || strings.HasPrefix(rel, "internal/rng/") }
 
 	// Deterministic node order for stable diagnostics and taint chains.
 	nodes := cg.Funcs()
@@ -157,17 +202,7 @@ func (m *Module) determDiags() []hotDiag {
 						continue
 					}
 					mark(n, &taintInfo{desc: "time." + e.Ext.Name(), pos: e.Pos})
-					// nowalltime covers its restricted package list; report
-					// here only the sink-scope packages outside it, so each
-					// source is flagged exactly once.
-					if sink && !wallTimeRestrictedPkg(n.Pkg.RelPath) {
-						diags = append(diags, hotDiag{pkg: n.Pkg, pos: e.Pos,
-							format: "wall-clock time.%s feeds simulation-visible state in %s; use sim.Engine virtual time",
-							args:   []any{e.Ext.Name(), n.Pkg.RelPath}})
-					}
 				case path == "math/rand" || path == "math/rand/v2":
-					// norand reports the call site itself, module-wide; here
-					// it only seeds the taint flow.
 					if allowed(e.Pos) {
 						continue
 					}
@@ -195,12 +230,9 @@ func (m *Module) determDiags() []hotDiag {
 			}
 		}
 		// Goroutine spawns reorder observable events — except inside a
-		// declared //dophy:concurrency-boundary file, whose sharing
-		// discipline the contract rules (ownercross/sendown/barrierorder)
-		// prove separately: the sweep pool merges deterministically, and the
-		// shard engine's window workers exchange state only at barriers with
-		// a shard-count-invariant merge order.
-		if n.Decl.Body != nil && m.contractInfo().boundary[n.File] == nil {
+		// declared //dophy:concurrency-boundary file, whose merge order is
+		// pinned by the run-time determinism tests named in rules.go (nogo).
+		if n.Decl.Body != nil && m.boundaryFiles()[n.File] == nil {
 			ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 				if g, ok := x.(*ast.GoStmt); ok && !allowed(g.Pos()) {
 					mark(n, &taintInfo{desc: "go statement", pos: g.Pos()})

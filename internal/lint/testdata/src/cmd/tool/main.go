@@ -1,6 +1,6 @@
 // Command tool opts into goroutines the same way every package does now:
-// a file-scoped //dophy:concurrency-boundary pragma (cmd/ keeps only its
-// nowalltime exemption for free).
+// a file-scoped //dophy:concurrency-boundary pragma (cmd/ is outside
+// determflow's sink scope, so only its wall-clock use comes for free).
 //
 //dophy:concurrency-boundary -- CLI-side fan-out; the goroutine is joined before exit
 package main

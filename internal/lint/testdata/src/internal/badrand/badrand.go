@@ -1,4 +1,5 @@
-// Package badrand violates the norand rule.
+// Package badrand uses math/rand outside internal/rng, which determflow
+// reports at every reference.
 package badrand
 
 import "math/rand"

@@ -68,3 +68,10 @@ func WarmUp(n int) []byte {
 func cold() {}
 
 var _ = cold
+
+// Misspelt allocates freely: its //dophy:hotpth typo is not a hot-path
+// annotation, so hotpathalloc skips the body. The unknown-directive
+// diagnostic is what surfaces the typo.
+//
+//dophy:hotpth // want "unknown directive //dophy:hotpth"
+func Misspelt(n int) []int { return make([]int, n) }

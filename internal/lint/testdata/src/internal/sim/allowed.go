@@ -4,5 +4,5 @@ import "time"
 
 // A justified waiver suppresses the diagnostic on the next line.
 //
-//dophy:allow nowalltime -- wall-clock is the quantity under test here
+//dophy:allow determflow -- wall-clock is the quantity under test here
 var now = time.Now

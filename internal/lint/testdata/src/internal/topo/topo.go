@@ -12,8 +12,7 @@ type NodeID int32
 
 type LinkIdx int32
 
-// ShardID identifies a partition of the node set — the typed element
-// index the ownercross rule accepts for shard-owned state.
+// ShardID identifies a partition of the node set.
 type ShardID int32
 
 // NoLink is the not-found sentinel of Index.

@@ -215,8 +215,6 @@ type SPDSolver struct {
 // returned slice aliases the solver's scratch and is valid until the next
 // Solve call. The arithmetic matches SolveSPD exactly.
 //
-//dophy:returns borrowed(recv) -- the result aliases s.x until the next Solve
-//dophy:invalidates
 //dophy:hotpath
 func (s *SPDSolver) Solve(a *Dense, b []float64) ([]float64, error) {
 	n := a.Rows
@@ -332,7 +330,6 @@ func RidgeLeastSquares(a *Dense, b []float64, ridge float64) ([]float64, error) 
 // NNLSSolver instead and reuse its scratch.
 func NNLS(a *Dense, b []float64, iters int, tol float64) []float64 {
 	var s NNLSSolver
-	//dophy:allow borrowspan -- the solver is function-local; its scratch dies with it, so the caller owns the slice
 	return s.Solve(a, b, iters, tol)
 }
 
@@ -340,8 +337,6 @@ func NNLS(a *Dense, b []float64, iters int, tol float64) []float64 {
 // systems, reusing its Gram matrix and vector scratch across Solve calls.
 // The zero value is ready to use; a warm start is only meaningful once a
 // full solve has populated the carried active set.
-//
-//dophy:states new: Solve -> solved; solved: Solve|SolveWarm -> solved
 type NNLSSolver struct {
 	g    Dense
 	x    []float64
@@ -358,9 +353,6 @@ type NNLSSolver struct {
 
 // Solve is NNLS with reusable scratch. The returned slice aliases the
 // solver's scratch and is valid until the next Solve call.
-//
-//dophy:returns borrowed(recv) -- the result aliases s.x until the next solve
-//dophy:invalidates
 func (s *NNLSSolver) Solve(a *Dense, b []float64, iters int, tol float64) []float64 {
 	a.GramInto(&s.g)
 	s.atb = growFloats(s.atb, a.Cols)
@@ -381,8 +373,6 @@ func (s *NNLSSolver) Solve(a *Dense, b []float64, iters int, tol float64) []floa
 // The returned slice aliases the solver's scratch and is valid until the
 // next solve.
 //
-//dophy:returns borrowed(recv) -- the result aliases s.x until the next solve
-//dophy:invalidates
 //dophy:hotpath
 func (s *NNLSSolver) SolveWarm(g *Dense, atb, x0 []float64, iters int, tol float64) []float64 {
 	if g.Rows != g.Cols || len(atb) != g.Cols {

@@ -22,11 +22,7 @@ import "math"
 //
 // A Source is single-consumer state: every draw mutates it, so under the
 // sharded engine each stream is confined to the shard that owns its node
-// (rng.Derive hands out disjoint per-node streams). The annotation lets the
-// contract rules flag any coordinator-side field that would smuggle a
-// stream across the shard boundary.
-//
-//dophy:owner shard
+// (rng.Derive hands out disjoint per-node streams).
 type Source struct {
 	s [4]uint64
 }

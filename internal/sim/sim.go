@@ -30,11 +30,8 @@ type Handler func()
 
 // Event is a scheduled handler. Exported methods are read-only for callers;
 // use Engine.Cancel to revoke one. Pointers are only valid while the event
-// is pending (see the package comment on recycling) — the single-state
-// contract below documents that a held event supports only the two
-// read-only probes, never a state change.
-//
-//dophy:states live: At|Cancelled -> live
+// is pending (see the package comment on recycling); a held event supports
+// only the two read-only probes, never a state change.
 type Event struct {
 	at     Time
 	seq    uint64 // FIFO tie-break among equal timestamps
@@ -95,9 +92,7 @@ func (h *eventHeap) Pop() any {
 // Engine owns the virtual clock and event queue. It is strictly
 // single-consumer — every Schedule and Run mutates the heap — so under the
 // sharded coordinator each instance is confined to the shard that drives
-// it, which the annotation makes checkable.
-//
-//dophy:owner shard
+// it.
 type Engine struct {
 	// inv carries the build-tag-gated runtime invariant checks; in the
 	// default build it is a zero-size no-op (see invariants_off.go). Kept

@@ -23,8 +23,6 @@ import (
 // The dirty masks are meaningful only once DiffFrom has compared the epoch
 // against its predecessor; incremental consumers consult PathDirty only
 // after that hand-off.
-//
-//dophy:states raw: DiffFrom -> diffed; diffed: DiffFrom|PathDirty -> diffed
 type Epoch struct {
 	// Delivered[i] and Expected[i] are per-origin packet counts.
 	Delivered []int64
@@ -68,8 +66,6 @@ func (e *Epoch) DiffFrom(prev *Epoch) {
 // current path suffices — old and new paths share a prefix up to the first
 // node whose parent changed, so a rerouted path always carries at least
 // one ParentDirty node. Without dirty masks everything is dirty.
-//
-//dophy:readonly recv -- the epoch is the estimators' shared input; queries must not mutate it
 func (e *Epoch) PathDirty(origin topo.NodeID) bool {
 	if e.StatsDirty == nil || e.ParentDirty == nil {
 		return true
@@ -98,8 +94,6 @@ func (e *Epoch) PathDirty(origin topo.NodeID) bool {
 
 // PathToSink walks the dominant tree from origin; ok is false when the walk
 // hits a node without a parent or loops.
-//
-//dophy:readonly recv -- the epoch is the estimators' shared input; queries must not mutate it
 func (e *Epoch) PathToSink(origin topo.NodeID) (links []topo.Link, ok bool) {
 	cur := origin
 	for cur != topo.Sink {
@@ -123,8 +117,6 @@ func (e *Epoch) PathToSink(origin topo.NodeID) (links []topo.Link, ok bool) {
 // false — with buf restored to its original length — when the walk hits a
 // node without a parent, loops, or crosses a pair that is not a topology
 // link.
-//
-//dophy:readonly recv lt -- the epoch and table are shared estimator inputs; only buf's appended tail is written
 func (e *Epoch) AppendPathIndices(lt *topo.LinkTable, origin topo.NodeID, buf []topo.LinkIdx) (_ []topo.LinkIdx, ok bool) {
 	start := len(buf)
 	cur := origin

@@ -11,8 +11,6 @@ import "dophy/internal/topo"
 //
 // A reused arena starts each epoch with Reset; accumulators are handed out
 // only after that first wipe.
-//
-//dophy:states new: Reset -> ready; ready: At|Reset -> ready
 type Arena struct {
 	obs     []Obs
 	backing []float64
@@ -37,8 +35,6 @@ func (a *Arena) Len() int { return len(a.obs) }
 // At returns the accumulator at link-table index i. The pointer aliases the
 // arena's backing storage, but deliberately with no invalidation: the
 // pointer stays valid across Reset (only the counts it sees are wiped).
-//
-//dophy:returns borrowed(recv) -- the accumulator lives in the arena's backing array
 func (a *Arena) At(i topo.LinkIdx) *Obs { return &a.obs[i] }
 
 // Reset zeroes every accumulator in place, keeping the backing storage.

@@ -102,9 +102,6 @@ func (o Obs) logLikelihood(p float64, m int) float64 {
 // EstimateP returns the MLE of the per-attempt success probability given
 // max attempts m (the MAC budget). It returns an error when there are no
 // observations or the configuration is inconsistent.
-//
-//dophy:readonly recv -- the Exact bins may be shared with a collector; estimation only reads them
-//dophy:effects noglobals
 func (o Obs) EstimateP(m int) (float64, error) {
 	if m < 1 {
 		return 0, fmt.Errorf("geomle: max attempts %d < 1", m)
@@ -149,9 +146,6 @@ func (o Obs) EstimateP(m int) (float64, error) {
 }
 
 // EstimateLoss returns the MLE of the per-attempt loss ratio 1 - p.
-//
-//dophy:readonly recv -- the Exact bins may be shared with a collector; estimation only reads them
-//dophy:effects noglobals
 func (o Obs) EstimateLoss(m int) (float64, error) {
 	p, err := o.EstimateP(m)
 	if err != nil {
@@ -163,9 +157,6 @@ func (o Obs) EstimateLoss(m int) (float64, error) {
 // StdErr approximates the standard error of the loss estimate via the
 // observed information (numerical second derivative at the MLE). It returns
 // 0 when the curvature is degenerate (e.g. p-hat at the boundary).
-//
-//dophy:readonly recv -- the Exact bins may be shared with a collector; estimation only reads them
-//dophy:effects noglobals
 func (o Obs) StdErr(m int, pHat float64) float64 {
 	if pHat <= 1e-6 || pHat >= 1-1e-6 {
 		return 0

@@ -79,15 +79,12 @@ func (t *LinkTable) Count() LinkIdx { return LinkIdx(len(t.links)) }
 func (t *LinkTable) Nodes() int { return t.n }
 
 // Link returns the link at table index i (canonical order).
-//
-//dophy:readonly recv -- the table is built once and shared by every estimator
 func (t *LinkTable) Link(i LinkIdx) Link { return t.links[i] }
 
 // Index returns l's table index, or NoLink when l is not a link of the
 // topology (including out-of-range node ids and self-links).
 //
 //dophy:hotpath
-//dophy:readonly recv -- the table is built once and shared by every estimator
 func (t *LinkTable) Index(l Link) LinkIdx {
 	if l.From < 0 || l.To < 0 || int(l.From) >= t.n || int(l.To) >= t.n {
 		return NoLink
@@ -114,8 +111,6 @@ func (t *LinkTable) Index(l Link) LinkIdx {
 // NodeSpan returns the half-open table index range [lo, hi) of the links
 // originating at id; iterating it visits id's outgoing links in ascending
 // To order.
-//
-//dophy:readonly recv -- the table is built once and shared by every estimator
 func (t *LinkTable) NodeSpan(id NodeID) (lo, hi LinkIdx) {
 	return t.off[id], t.off[id+1]
 }
@@ -124,8 +119,6 @@ func (t *LinkTable) NodeSpan(id NodeID) (lo, hi LinkIdx) {
 // neighbor list, or -1 when l is not a link — an O(1) replacement for
 // scanning Neighbors(l.From). The result is a neighbor *offset*, a
 // different integer domain from the table index, so it stays a plain int.
-//
-//dophy:readonly recv -- the table is built once and shared by every estimator
 func (t *LinkTable) NeighborIndex(l Link) int {
 	i := t.Index(l)
 	if i == NoLink {

@@ -43,21 +43,15 @@ type Topology struct {
 
 // LinkTable returns the topology's dense link enumeration. The table is
 // built once at construction and shared; callers must not mutate it.
-//
-//dophy:readonly recv -- the topology is immutable after its Build
 func (t *Topology) LinkTable() *LinkTable { return t.lt }
 
 // N returns the number of nodes including the sink.
 func (t *Topology) N() int { return len(t.Pos) }
 
 // Neighbors returns the (sorted, read-only) neighbor list of id.
-//
-//dophy:readonly recv -- the topology is immutable after its Build
 func (t *Topology) Neighbors(id NodeID) []NodeID { return t.neighbors[id] }
 
 // Adjacent reports whether a and b are within communication range.
-//
-//dophy:readonly recv -- the topology is immutable after its Build
 func (t *Topology) Adjacent(a, b NodeID) bool {
 	if a == b {
 		return false
@@ -66,8 +60,6 @@ func (t *Topology) Adjacent(a, b NodeID) bool {
 }
 
 // Distance returns the Euclidean distance between two nodes.
-//
-//dophy:readonly recv -- the topology is immutable after its Build
 func (t *Topology) Distance(a, b NodeID) float64 {
 	return Dist(t.Pos[a], t.Pos[b])
 }

@@ -86,8 +86,6 @@ func (r *Recorder) Beacon(l topo.Link, received bool) {
 
 // at returns the live accumulator for l. The pointer aliases r.counts and
 // only counts recorded before the next Cut are visible through it.
-//
-//dophy:returns borrowed(recv) -- the pointer aliases r.counts, which the next Cut zeroes
 func (r *Recorder) at(l topo.Link) *LinkCounts {
 	i := r.lt.Index(l)
 	if i < 0 {
@@ -98,8 +96,6 @@ func (r *Recorder) at(l topo.Link) *LinkCounts {
 
 // Link returns the accumulated counts for l (zero value if untouched or not
 // a topology link).
-//
-//dophy:readonly recv -- point queries must not disturb the accumulating counts
 func (r *Recorder) Link(l topo.Link) LinkCounts {
 	if i := r.lt.Index(l); i >= 0 {
 		return r.counts[i]
@@ -124,8 +120,6 @@ type Epoch struct {
 }
 
 // Link returns the counts for l (zero value if untouched or unknown).
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut
 func (e *Epoch) Link(l topo.Link) LinkCounts {
 	if e.Table == nil {
 		return LinkCounts{}
@@ -139,8 +133,6 @@ func (e *Epoch) Link(l topo.Link) LinkCounts {
 // ActiveLinks returns the links with at least minAttempts *data* attempts,
 // in canonical table order — the links a tomography scheme could plausibly
 // estimate.
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut
 func (e *Epoch) ActiveLinks(minAttempts int64) []topo.Link {
 	return e.AppendActiveLinks(minAttempts, nil)
 }
@@ -148,8 +140,6 @@ func (e *Epoch) ActiveLinks(minAttempts int64) []topo.Link {
 // AppendActiveLinks is the append-into variant of ActiveLinks for per-epoch
 // hot paths: it extends buf (typically a reused scratch slice reset to
 // length zero) instead of allocating a fresh slice each call.
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut; only buf's appended tail is written
 func (e *Epoch) AppendActiveLinks(minAttempts int64, buf []topo.Link) []topo.Link {
 	for i := topo.LinkIdx(0); i < e.Table.Count(); i++ {
 		if e.Counts[i].DataAttempts >= minAttempts && e.Counts[i].Attempts > 0 {
@@ -161,8 +151,6 @@ func (e *Epoch) AppendActiveLinks(minAttempts int64, buf []topo.Link) []topo.Lin
 
 // ActiveLinkCount counts the links ActiveLinks would return without
 // materialising them — for per-epoch scoring that only needs the total.
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut
 func (e *Epoch) ActiveLinkCount(minAttempts int64) int {
 	n := 0
 	for i := topo.LinkIdx(0); i < e.Table.Count(); i++ {
@@ -175,8 +163,6 @@ func (e *Epoch) ActiveLinkCount(minAttempts int64) int {
 
 // LinkDirty reports whether link i's counts changed relative to the
 // previous cut. Without a previous cut every link reports dirty.
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut
 func (e *Epoch) LinkDirty(i topo.LinkIdx) bool {
 	if e.dirty == nil {
 		return true
@@ -185,8 +171,6 @@ func (e *Epoch) LinkDirty(i topo.LinkIdx) bool {
 }
 
 // DirtyCount returns how many links changed since the previous cut.
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut
 func (e *Epoch) DirtyCount() int {
 	if e.dirty == nil {
 		return len(e.Counts)
@@ -202,8 +186,6 @@ func (e *Epoch) DirtyCount() int {
 // the previous cut, in canonical table order. It allocates; incremental
 // consumers on hot paths should query LinkDirty against the bitmap
 // instead.
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut
 func (e *Epoch) DirtyLinks() []topo.LinkIdx {
 	out := make([]topo.LinkIdx, 0, e.DirtyCount())
 	for i := topo.LinkIdx(0); int(i) < len(e.Counts); i++ {
@@ -216,8 +198,6 @@ func (e *Epoch) DirtyLinks() []topo.LinkIdx {
 
 // DeliveryRatio returns delivered/generated for the epoch (1 if nothing was
 // generated).
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut
 func (e *Epoch) DeliveryRatio() float64 {
 	if e.Generated == 0 {
 		return 1
@@ -264,8 +244,6 @@ func CutMerged(recs []*Recorder) *Epoch {
 // in place for the next one. The dirty bitmap is diffed against the
 // previous cut's counts here, while both windows are still at hand — the
 // snapshot and the bitmap are the only per-epoch allocations.
-//
-//dophy:invalidates
 func (r *Recorder) Cut() *Epoch {
 	e := &Epoch{
 		Table:         r.lt,
