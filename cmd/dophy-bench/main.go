@@ -13,7 +13,6 @@
 //	dophy-bench -list           # list experiment ids
 //	dophy-bench -exp S0 -shards 4
 //	                            # scale-tier experiment on the sharded engine
-//	dophy-bench -pipeline       # overlap epoch simulation with estimation
 //	dophy-bench -incremental    # dirty-link incremental MINC/LSQ re-estimation
 //	dophy-bench -compare BENCH_linux-amd64.json
 //	                            # rerun and exit nonzero on a perf regression
@@ -131,14 +130,12 @@ func main() {
 		maxEst      = flag.Float64("max-est-regress", 0.25, "per-experiment estimation-stage seconds regression tolerance for -compare")
 		maxRSS      = flag.Float64("max-rss-regress", 0.30, "whole-run peak-RSS regression tolerance for -compare")
 		requireAll  = flag.Bool("require-all", false, "fail -compare when any baseline experiment was not rerun")
-		pipeline    = flag.Bool("pipeline", false, "overlap each epoch's simulation with the previous epoch's estimation")
 		incremental = flag.Bool("incremental", false, "incremental MINC/LSQ re-estimation seeded by dirty-link tracking")
 	)
 	flag.Parse()
 
 	experiment.SetWorkers(*workers)
 	experiment.SetShards(*shards)
-	experiment.SetPipelined(*pipeline)
 	experiment.SetIncremental(*incremental)
 
 	// Scale tiers (S*) are opt-in: a bare run covers All() — the tables and

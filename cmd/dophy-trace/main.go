@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -38,15 +39,18 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkFlags(*grid, *seconds); err != nil {
+		fatal(err)
+	}
 	switch {
 	case *export != "" && *analyze != "":
 		fatal("use either -export or -analyze, not both")
 	case *export != "":
-		if err := doExport(*export, *grid, *seed, *seconds); err != nil {
+		if _, err := doExport(*export, traceScenario(*grid, *seed, *seconds)); err != nil {
 			fatal(err)
 		}
 	case *analyze != "":
-		if err := doAnalyze(*analyze, *grid, *seed); err != nil {
+		if _, err := doAnalyze(*analyze, os.Stdout, buildTopo(*grid, *seed)); err != nil {
 			fatal(err)
 		}
 	default:
@@ -55,37 +59,53 @@ func main() {
 	}
 }
 
+// checkFlags rejects the -grid and -seconds values no run can use.
+// flag.Float64 parses "inf" and "nan", and an infinite epoch never ends.
+func checkFlags(grid int, seconds float64) error {
+	if grid < 2 {
+		return fmt.Errorf("-grid %d: need a side of at least 2", grid)
+	}
+	if !(seconds > 0) || math.IsInf(seconds, 1) {
+		return fmt.Errorf("-seconds %v: need a positive, finite duration", seconds)
+	}
+	return nil
+}
+
 func fatal(v any) {
 	fmt.Fprintln(os.Stderr, "dophy-trace:", v)
 	os.Exit(1)
 }
 
-// buildTopo reproduces the topology an exporting run used, so an analyzing
-// run decodes against identical neighbour tables.
-func buildTopo(grid int, seed uint64) *topo.Topology {
-	sc := experiment.DefaultScenario()
-	sc.Seed = seed
-	sc.Topo = experiment.GridSpec(grid)
-	return sc.Topo.Build(rng.New(seed).Split())
-}
-
-func doExport(path string, grid int, seed uint64, seconds float64) error {
-	var out io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	w := journal.NewWriter(out)
-
+// traceScenario is the one-epoch run an export simulates. Its topology
+// depends only on grid and seed, so an analyzing run can rebuild it.
+func traceScenario(grid int, seed uint64, seconds float64) experiment.Scenario {
 	sc := experiment.DefaultScenario()
 	sc.Seed = seed
 	sc.Topo = experiment.GridSpec(grid)
 	sc.EpochLen = sim.Time(seconds)
 	sc.Epochs = 1
+	return sc
+}
+
+// buildTopo reproduces the topology an exporting run used, so an analyzing
+// run decodes against identical neighbour tables.
+func buildTopo(grid int, seed uint64) *topo.Topology {
+	return traceScenario(grid, seed, 0).Topo.Build(rng.New(seed).Split())
+}
+
+// doExport simulates sc's single epoch, writes every completed journey to
+// path ('-' = stdout) as JSON lines, and returns the session's outcome.
+func doExport(path string, sc experiment.Scenario) (*experiment.EpochOutcome, error) {
+	var out io.Writer = os.Stdout
+	if path != "-" {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		out = f
+	}
+	w := journal.NewWriter(out)
 	sess := experiment.NewSession(sc)
 	var writeErr error
 	sess.SubscribeJourneys(func(j *collect.PacketJourney) {
@@ -93,25 +113,26 @@ func doExport(path string, grid int, seed uint64, seconds float64) error {
 			writeErr = w.Write(j)
 		}
 	})
-	sess.RunEpoch()
+	eo := sess.RunEpoch()
 	if writeErr != nil {
-		return writeErr
+		return nil, writeErr
 	}
 	if err := w.Flush(); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "dophy-trace: exported %d journeys\n", w.Count())
-	return nil
+	return eo, nil
 }
 
-func doAnalyze(path string, grid int, seed uint64) error {
+// doAnalyze replays the journeys in path through a Dophy sink engine over
+// tp, prints the per-link estimates to out and returns the report.
+func doAnalyze(path string, out io.Writer, tp *topo.Topology) (*core.EpochReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 
-	tp := buildTopo(grid, seed)
 	d := core.New(tp, core.DefaultConfig())
 	r := journal.NewReader(f)
 	var journeys, delivered int64
@@ -121,7 +142,7 @@ func doAnalyze(path string, grid int, seed uint64) error {
 			break
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		journeys++
 		if j.Delivered {
@@ -130,14 +151,14 @@ func doAnalyze(path string, grid int, seed uint64) error {
 		d.OnJourney(j)
 	}
 	rep := d.EndEpoch()
-	fmt.Printf("replayed %d journeys (%d delivered); decode errors: %d\n",
+	fmt.Fprintf(out, "replayed %d journeys (%d delivered); decode errors: %d\n",
 		journeys, delivered, rep.DecodeErrors)
-	fmt.Printf("annotation: %.2f bytes/packet\n\n", rep.Overhead.BytesPerPacket())
+	fmt.Fprintf(out, "annotation: %.2f bytes/packet\n\n", rep.Overhead.BytesPerPacket())
 	links := rep.SortedLinks()
-	fmt.Printf("%-10s  %-9s  %-8s  %s\n", "link", "est-loss", "stderr", "samples")
+	fmt.Fprintf(out, "%-10s  %-9s  %-8s  %s\n", "link", "est-loss", "stderr", "samples")
 	for _, l := range links {
 		est, _ := rep.At(l)
-		fmt.Printf("%-10s  %-9.4f  %-8.4f  %d\n", l, est.Loss, est.StdErr, est.Samples)
+		fmt.Fprintf(out, "%-10s  %-9.4f  %-8.4f  %d\n", l, est.Loss, est.StdErr, est.Samples)
 	}
 	lossOf := func(l topo.Link) float64 {
 		est, _ := rep.At(l)
@@ -146,7 +167,7 @@ func doAnalyze(path string, grid int, seed uint64) error {
 	sort.Slice(links, func(i, j int) bool { return lossOf(links[i]) > lossOf(links[j]) })
 	if len(links) > 0 {
 		worst := links[0]
-		fmt.Printf("\nworst link: %s at %.3f loss\n", worst, lossOf(worst))
+		fmt.Fprintf(out, "\nworst link: %s at %.3f loss\n", worst, lossOf(worst))
 	}
-	return nil
+	return rep, nil
 }

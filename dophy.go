@@ -159,7 +159,25 @@ func NewSimulation(opt Options) (*Simulation, error) {
 	if opt.GridSide != 0 && opt.Nodes != 0 {
 		return nil, errors.New("dophy: GridSide and Nodes are mutually exclusive")
 	}
-	if opt.GridSide < 0 || opt.Nodes < 0 || opt.MaxRetx < 0 {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"UniformLoss", opt.UniformLoss},
+		{"GenPeriodSeconds", opt.GenPeriodSeconds},
+		{"EpochSeconds", opt.EpochSeconds},
+		{"ParentChurn", opt.ParentChurn},
+		{"FailureMTBF", opt.FailureMTBF},
+		{"FailureMTTR", opt.FailureMTTR},
+	} {
+		// NaN slips through every range check below, and an infinite
+		// epoch or period never ends.
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("dophy: %s %v is not finite", f.name, f.v)
+		}
+	}
+	if opt.GridSide < 0 || opt.Nodes < 0 || opt.MaxRetx < 0 ||
+		opt.GenPeriodSeconds < 0 || opt.EpochSeconds < 0 {
 		return nil, errors.New("dophy: negative option")
 	}
 	if opt.UniformLoss < 0 || opt.UniformLoss >= 1 {

@@ -124,6 +124,14 @@ func TestOptionValidation(t *testing.T) {
 		"one node":      {Nodes: 1},
 		"bad dynamics":  {Dynamics: Dynamics(42)},
 		"drift uniform": {Dynamics: DynamicsDrift, UniformLoss: 0.2},
+		"inf epoch":     {GridSide: 3, EpochSeconds: math.Inf(1)},
+		"inf period":    {GridSide: 3, GenPeriodSeconds: math.Inf(1)},
+		"inf mtbf":      {GridSide: 3, FailureMTBF: math.Inf(1)},
+		"inf mttr":      {GridSide: 3, FailureMTBF: 200, FailureMTTR: math.Inf(1)},
+		"nan churn":     {GridSide: 3, ParentChurn: math.NaN()},
+		"nan loss":      {GridSide: 3, UniformLoss: math.NaN()},
+		"nan mttr":      {GridSide: 3, FailureMTBF: 200, FailureMTTR: math.NaN()},
+		"nan epoch":     {GridSide: 3, EpochSeconds: math.NaN()},
 	}
 	for name, opt := range cases {
 		if _, err := NewSimulation(opt); err == nil {
@@ -191,6 +199,8 @@ func TestNegativeOptionValidation(t *testing.T) {
 	for name, opt := range map[string]Options{
 		"neg queue": {GridSide: 4, QueueCap: -1},
 		"neg mtbf":  {GridSide: 4, FailureMTBF: -1},
+		"neg epoch": {GridSide: 4, EpochSeconds: -300},
+		"neg gen":   {GridSide: 4, GenPeriodSeconds: -5},
 	} {
 		if _, err := NewSimulation(opt); err == nil {
 			t.Errorf("%s accepted", name)

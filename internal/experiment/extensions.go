@@ -283,9 +283,7 @@ func T7(seed uint64) *Table {
 		sc.Epochs = 3
 		sess := NewSession(sc)
 		mkCfg := func(sender bool) pathrecord.Config {
-			c := pathrecord.DefaultConfig(pathrecord.Compact)
-			c.MaxAttempts = sc.Mac.MaxRetx + 1
-			c.MinSamples = sc.Dophy.MinSamples
+			c := pathRecordConfig(sc, pathrecord.Compact)
 			c.SenderCounts = sender
 			return c
 		}
@@ -495,9 +493,7 @@ func T10(seed uint64) *Table {
 		sc.Collect.TxTime = 0
 		sc.Collect.HopDelay = 0
 		sess := NewSession(sc)
-		dcfg := sc.Dophy
-		dcfg.MaxAttempts = sc.Mac.MaxRetx + 1
-		dist := core.New(sess.Topology(), dcfg)
+		dist := core.New(sess.Topology(), dophyConfig(sc))
 		sess.AttachAnnotator(dist.NewAnnotator())
 		identical := true
 		var annotBits, stateBits, packets int64

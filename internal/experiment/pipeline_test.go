@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dophy/internal/collect"
+	"dophy/internal/topo"
 )
 
 // normalize prepares a RunResult for reflect.DeepEqual: wall-clock fields
@@ -30,13 +31,40 @@ func normalize(r *RunResult) {
 	}
 }
 
-// TestRunPipelinedMatchesRun pins the pipeline's contract: overlapping
-// simulation with estimation changes wall time only. Every epoch outcome —
-// truth, schemes, estimates, report bits — must be identical to the
-// sequential loop's, in both from-scratch and incremental estimator modes
-// (incremental matters because the warm-started estimators carry state
-// across epochs, so outcome k depends on the whole cut order).
-func TestRunPipelinedMatchesRun(t *testing.T) {
+// epochStepper is the public stepping surface both session types share.
+type epochStepper interface {
+	RunEpoch() *EpochOutcome
+	Topology() *topo.Topology
+	BeaconsSent() int64
+	Events() uint64
+}
+
+// sequentialRun is the reference the epoch pipeline must reproduce: the
+// session stepped with RunEpoch on the calling goroutine, the run totals
+// aggregated by hand.
+func sequentialRun(sc Scenario, s epochStepper) *RunResult {
+	res := &RunResult{Scenario: sc, Topology: s.Topology()}
+	var packets, changes int64
+	for e := 0; e < sc.Epochs; e++ {
+		eo := s.RunEpoch()
+		res.Epochs = append(res.Epochs, eo)
+		packets += eo.Truth.Delivered
+		changes += eo.Truth.ParentChanges
+	}
+	if sc.Epochs > 0 {
+		res.MeanPacketsPerEpoch = float64(packets) / float64(sc.Epochs)
+		res.ParentChangesPerNodePerEpoch =
+			float64(changes) / float64(sc.Epochs) / math.Max(1, float64(s.Topology().N()-1))
+	}
+	res.BeaconsSent = s.BeaconsSent()
+	res.Events = s.Events()
+	return res
+}
+
+// forEachEstMode runs fn in from-scratch and incremental estimator modes.
+// Incremental matters because the warm-started estimators carry state
+// across epochs, so outcome k depends on the whole cut order.
+func forEachEstMode(t *testing.T, fn func(t *testing.T)) {
 	for _, inc := range []bool{false, true} {
 		name := "fromscratch"
 		if inc {
@@ -45,45 +73,63 @@ func TestRunPipelinedMatchesRun(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			prev := SetIncremental(inc)
 			defer SetIncremental(prev)
-			sc := smallScenario(17)
-			sc.Epochs = 4
-			seq := Run(sc)
-			pip := RunPipelined(sc)
-			normalize(seq)
-			normalize(pip)
-			if !reflect.DeepEqual(seq, pip) {
-				t.Fatalf("pipelined run diverged from sequential run:\nseq: %+v\npip: %+v", seq, pip)
-			}
+			fn(t)
 		})
 	}
 }
 
-// TestPipelinedToggleRoutesRun checks that the package toggle makes plain
-// Run take the pipelined path, and that the toggle round-trips.
-func TestPipelinedToggleRoutesRun(t *testing.T) {
-	prev := SetPipelined(true)
-	defer SetPipelined(prev)
-	if !Pipelined() {
-		t.Fatal("SetPipelined(true) did not stick")
-	}
-	sc := smallScenario(19)
-	via := Run(sc)
-	SetPipelined(false)
-	seq := Run(sc)
-	normalize(via)
-	normalize(seq)
-	if !reflect.DeepEqual(seq, via) {
-		t.Fatal("Run under the pipelined toggle diverged from sequential Run")
-	}
-	SetPipelined(true)
+// TestRunMatchesSequentialEpochs pins the epoch pipeline's contract:
+// overlapping simulation with estimation changes wall time only. Every
+// epoch outcome — truth, schemes, estimates, report bits — and every run
+// total must equal those of a session stepped with RunEpoch.
+func TestRunMatchesSequentialEpochs(t *testing.T) {
+	forEachEstMode(t, func(t *testing.T) {
+		sc := smallScenario(17)
+		sc.Epochs = 4
+		want := sequentialRun(sc, NewSession(sc))
+		got := Run(sc)
+		normalize(want)
+		normalize(got)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("Run diverged from sequential RunEpoch:\nseq: %+v\nrun: %+v", want, got)
+		}
+	})
 }
 
-func TestRunPipelinedZeroEpochs(t *testing.T) {
+// TestRunShardedMatchesSequentialEpochs is the same contract for the
+// sharded engine, with the full scheme set so MINC and LSQ run on the
+// estimation goroutine, at one shard (no workers) and at two (the
+// estimation goroutine overlaps the shard workers' windows).
+func TestRunShardedMatchesSequentialEpochs(t *testing.T) {
+	forEachEstMode(t, func(t *testing.T) {
+		sc := smallScenario(19)
+		sc.Epochs = 4
+		for _, k := range []int{1, 2} {
+			sp := DefaultShardSpec(k)
+			sp.FullSchemes = true
+			s := NewShardedSession(sc, sp)
+			want := sequentialRun(sc, s)
+			s.Close()
+			got := RunSharded(sc, sp)
+			normalize(want)
+			normalize(got)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("shards=%d: RunSharded diverged from sequential RunEpoch:\nseq: %+v\nrun: %+v", k, want, got)
+			}
+		}
+	})
+}
+
+func TestRunZeroEpochs(t *testing.T) {
 	sc := smallScenario(23)
 	sc.Epochs = 0
-	res := RunPipelined(sc)
-	if len(res.Epochs) != 0 {
-		t.Fatalf("zero-epoch run produced %d epochs", len(res.Epochs))
+	if n := len(Run(sc).Epochs); n != 0 {
+		t.Fatalf("zero-epoch Run produced %d epochs", n)
+	}
+	sp := DefaultShardSpec(2)
+	sp.FullSchemes = true
+	if n := len(RunSharded(sc, sp).Epochs); n != 0 {
+		t.Fatalf("zero-epoch RunSharded produced %d epochs", n)
 	}
 }
 
@@ -114,41 +160,32 @@ func snapshotOutcome(eo *EpochOutcome) string {
 // estBank.estimate: MINC and LSQ return views of estimator scratch that the
 // next epoch rewrites, so an outcome must not change once RunEpoch has
 // returned it. Each outcome is snapshotted on return; after the remaining
-// epochs run, every earlier outcome must still match its snapshot. The
-// pipelined run must reproduce the same snapshots, since there the next
-// epoch's estimate can land before the caller reads an outcome.
+// epochs run, every earlier outcome must still match its snapshot. Run
+// must reproduce the same snapshots, since there the next epoch's estimate
+// can land before the caller reads an outcome.
 func TestEpochOutcomesOutliveEstimatorScratch(t *testing.T) {
-	for _, inc := range []bool{false, true} {
-		name := "fromscratch"
-		if inc {
-			name = "incremental"
+	forEachEstMode(t, func(t *testing.T) {
+		sc := smallScenario(29)
+		sc.Epochs = 4
+		s := NewSession(sc)
+		var outs []*EpochOutcome
+		var snaps []string
+		for e := 0; e < sc.Epochs; e++ {
+			eo := s.RunEpoch()
+			outs = append(outs, eo)
+			snaps = append(snaps, snapshotOutcome(eo))
 		}
-		t.Run(name, func(t *testing.T) {
-			prev := SetIncremental(inc)
-			defer SetIncremental(prev)
-			sc := smallScenario(29)
-			sc.Epochs = 4
-			s := NewSession(sc)
-			var outs []*EpochOutcome
-			var snaps []string
-			for e := 0; e < sc.Epochs; e++ {
-				eo := s.RunEpoch()
-				outs = append(outs, eo)
-				snaps = append(snaps, snapshotOutcome(eo))
+		for e, eo := range outs {
+			if got := snapshotOutcome(eo); got != snaps[e] {
+				t.Errorf("epoch %d outcome changed after later epochs ran:\nat return: %s\nat end:    %s", eo.Epoch, snaps[e], got)
 			}
-			for e, eo := range outs {
-				if got := snapshotOutcome(eo); got != snaps[e] {
-					t.Errorf("epoch %d outcome changed after later epochs ran:\nat return: %s\nat end:    %s", eo.Epoch, snaps[e], got)
-				}
+		}
+		for e, eo := range Run(sc).Epochs {
+			if got := snapshotOutcome(eo); got != snaps[e] {
+				t.Errorf("Run's epoch %d differs from the RunEpoch outcome at return:\nRun:      %s\nRunEpoch: %s", eo.Epoch, got, snaps[e])
 			}
-			pip := RunPipelined(sc)
-			for e, eo := range pip.Epochs {
-				if got := snapshotOutcome(eo); got != snaps[e] {
-					t.Errorf("pipelined epoch %d differs from the sequential outcome at return:\npipelined:  %s\nsequential: %s", eo.Epoch, got, snaps[e])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSessionRejectsLateAttachment pins the attach-before-first-epoch rule:

@@ -2,17 +2,13 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"dophy/internal/collect"
-	"dophy/internal/core"
 	"dophy/internal/mac"
 	"dophy/internal/rng"
 	"dophy/internal/routing"
 	"dophy/internal/sim"
 	"dophy/internal/sim/shard"
-	"dophy/internal/tomo/epochobs"
-	"dophy/internal/tomo/pathrecord"
 	"dophy/internal/topo"
 	"dophy/internal/trace"
 )
@@ -173,19 +169,10 @@ type ShardedSession struct {
 	bufs   [][]*collect.PacketJourney // journeys completed since the last flush, per shard
 	fmerge []*collect.PacketJourney   // flush merge scratch
 
-	// The estimator bank runs on the coordinator only, fed sequentially at
-	// window barriers.
-	dophyEng *core.Dophy
-	dophyNA  *core.Dophy
-	raw      *pathrecord.Recorder
-	compact  *pathrecord.Recorder
-	huff     *pathrecord.Recorder
-	obsCol   *epochobs.Collector
-	bank     estBank
-
-	perPacket      []PacketSample
-	epoch          int
-	lastQueueDrops int64
+	// The sink runs on the coordinator only, fed sequentially at window
+	// barriers.
+	sink  *sink
+	epoch int
 }
 
 // NewShardedSession partitions the scenario's topology, builds one
@@ -266,28 +253,7 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 		s.recs[k], s.protos[k], s.nws[k], s.fabs[k] = rec, proto, nw, fab
 	}
 
-	dcfg := sc.Dophy
-	dcfg.MaxAttempts = sc.Mac.MaxRetx + 1
-	if dcfg.AggThreshold >= dcfg.MaxAttempts {
-		dcfg.AggThreshold = 0
-	}
-	s.dophyEng = core.New(tp, dcfg)
-	if sp.FullSchemes {
-		naCfg := dcfg
-		naCfg.AggThreshold = 0
-		s.dophyNA = core.New(tp, naCfg)
-		prCfg := func(v pathrecord.Variant) pathrecord.Config {
-			c := pathrecord.DefaultConfig(v)
-			c.MaxAttempts = dcfg.MaxAttempts
-			c.MinSamples = dcfg.MinSamples
-			return c
-		}
-		s.raw = pathrecord.New(tp, prCfg(pathrecord.Raw))
-		s.compact = pathrecord.New(tp, prCfg(pathrecord.Compact))
-		s.huff = pathrecord.New(tp, prCfg(pathrecord.Huffman))
-		s.obsCol = epochobs.New(lt)
-		s.bank = newEstBank(lt, dcfg.MaxAttempts)
-	}
+	s.sink = newSink(tp, sc, sp.FullSchemes)
 	// Feeding the estimators at every barrier (rather than at epoch ends)
 	// bounds journey buffering to one window's worth of completions.
 	s.eng.OnBarrier(s.flush)
@@ -313,7 +279,7 @@ func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney)
 // flush drains every shard's completed-journey buffer in (Completed,
 // Origin, Seq) order — a pure function of simulation behaviour, so the
 // global feed sequence is identical at every shard count — and feeds the
-// estimators. Runs on the coordinator: at window barriers for K > 1, after
+// sink. Runs on the coordinator: at window barriers for K > 1, after
 // Run returns for K == 1.
 func (s *ShardedSession) flush() {
 	m := s.fmerge[:0]
@@ -329,7 +295,7 @@ func (s *ShardedSession) flush() {
 		sortJourneys(m)
 	}
 	for i, j := range m {
-		s.feed(j)
+		s.sink.onJourney(j)
 		m[i] = nil
 	}
 	s.fmerge = m[:0]
@@ -357,22 +323,6 @@ func journeyAfter(a, b *collect.PacketJourney) bool {
 		return a.Origin > b.Origin
 	}
 	return a.Seq > b.Seq
-}
-
-// feed applies one journey to every attached scheme — the sharded
-// counterpart of NewSession's subscriber.
-func (s *ShardedSession) feed(j *collect.PacketJourney) {
-	bits := s.dophyEng.OnJourney(j)
-	if s.sp.FullSchemes {
-		s.dophyNA.OnJourney(j)
-		s.raw.OnJourney(j)
-		s.compact.OnJourney(j)
-		s.huff.OnJourney(j)
-		s.obsCol.OnJourney(j)
-	}
-	if j.Delivered {
-		s.perPacket = append(s.perPacket, PacketSample{Hops: len(j.Hops), DophyBits: bits})
-	}
 }
 
 // Topology returns the built topology.
@@ -421,57 +371,32 @@ func (s *ShardedSession) queueDrops() int64 {
 	return total
 }
 
-// RunEpoch advances the simulation one epoch and harvests every attached
-// scheme, mirroring Session.RunEpoch. It drains per-shard recorders, so it
-// runs strictly between Run windows.
-func (s *ShardedSession) RunEpoch() *EpochOutcome {
+// cutEpoch advances the simulation one epoch and cuts the sink's harvest,
+// mirroring Session.cutEpoch. It drains per-shard recorders, so it runs
+// strictly between Run windows.
+func (s *ShardedSession) cutEpoch() *epochCut {
 	s.epoch++
 	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
 	s.flush() // single-shard runs have no barriers; drain the epoch's tail
-	truth := trace.CutMerged(s.recs)
-	eo := &EpochOutcome{Epoch: s.epoch, Truth: truth, Schemes: map[string]*SchemeEpoch{}}
-	eo.DirtyLinks = truth.DirtyCount()
-	eo.Schemes[SchemeDophy] = fromDophy(SchemeDophy, s.dophyEng.EndEpoch())
-	if s.sp.FullSchemes {
-		eo.Schemes[SchemeDophyNA] = fromDophy(SchemeDophyNA, s.dophyNA.EndEpoch())
-		eo.Schemes[SchemeRaw] = fromPathRecord(SchemeRaw, s.raw.EndEpoch())
-		eo.Schemes[SchemeCompact] = fromPathRecord(SchemeCompact, s.compact.EndEpoch())
-		eo.Schemes[SchemeHuffman] = fromPathRecord(SchemeHuffman, s.huff.EndEpoch())
-		s.bank.estimate(&epochCut{out: eo, obs: s.obsCol.EndEpoch()})
-	}
-	eo.PerPacket = s.perPacket
-	s.perPacket = nil
-	drops := s.queueDrops()
-	eo.QueueDrops = drops - s.lastQueueDrops
-	s.lastQueueDrops = drops
-	return eo
+	return s.sink.cut(s.epoch, trace.CutMerged(s.recs), s.queueDrops())
+}
+
+// RunEpoch advances the simulation one epoch and harvests every attached
+// scheme, mirroring Session.RunEpoch.
+func (s *ShardedSession) RunEpoch() *EpochOutcome {
+	return s.sink.bank.estimate(s.cutEpoch())
 }
 
 // Close stops the shard workers. The session must not be run afterwards.
 func (s *ShardedSession) Close() { s.eng.Close() }
 
 // RunSharded executes the scenario under the sharded engine — the
-// partitioned mirror of Run. The result is byte-identical for every value
-// of sp.Shards (see ShardSpec); it is NOT comparable to Run's, which
-// applies beacons and hand-offs with zero latency.
+// partitioned mirror of Run, through the same epoch pipeline. The result is
+// byte-identical for every value of sp.Shards (see ShardSpec); it is NOT
+// comparable to Run's, which applies beacons and hand-offs with zero
+// latency.
 func RunSharded(sc Scenario, sp ShardSpec) *RunResult {
 	s := NewShardedSession(sc, sp)
 	defer s.Close()
-	res := &RunResult{Scenario: sc, Topology: s.tp}
-	var totalPackets, totalChanges int64
-	for e := 0; e < sc.Epochs; e++ {
-		eo := s.RunEpoch()
-		res.Epochs = append(res.Epochs, eo)
-		totalPackets += eo.Truth.Delivered
-		totalChanges += eo.Truth.ParentChanges
-		res.EstSeconds += eo.EstSeconds
-	}
-	if sc.Epochs > 0 {
-		res.MeanPacketsPerEpoch = float64(totalPackets) / float64(sc.Epochs)
-		res.ParentChangesPerNodePerEpoch =
-			float64(totalChanges) / float64(sc.Epochs) / math.Max(1, float64(s.tp.N()-1))
-	}
-	res.BeaconsSent = s.BeaconsSent()
-	res.Events = s.Events()
-	return res
+	return runEpochs(sc, s, s.sink.bank)
 }

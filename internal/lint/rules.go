@@ -210,8 +210,9 @@ func sortedAfter(pkg *Package, fnBody *ast.BlockStmt, pos token.Pos, target type
 // which exempts it from nogo and from determflow's goroutine taint. What a
 // boundary does with its goroutines is pinned at run time, not here:
 // TestShardedByteDeterminism (shard engine, K in {1,2,4,8}),
-// TestRunPipelinedMatchesRun (estimation pipeline) and
-// TestRunAllDeterministicAcrossWorkerCounts (sweep pool). A goroutine
+// TestRunMatchesSequentialEpochs and TestRunShardedMatchesSequentialEpochs
+// (epoch pipeline) and TestRunAllDeterministicAcrossWorkerCounts (sweep
+// pool). A goroutine
 // anywhere else either races the simulation or makes event order
 // scheduling-dependent. The rule also polices boundary hygiene: a pragma
 // without a justification, or in a file that spawns nothing, is itself a
