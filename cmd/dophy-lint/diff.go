@@ -1,6 +1,6 @@
 // -diff support: restrict *reporting* to the files changed relative to a
 // git ref while keeping the whole-module analysis (cross-package rules —
-// poolescape, the effect propagation, hotpathalloc chains — need every
+// the determflow taint propagation, hotpathalloc chains — need every
 // package loaded to be sound; only the final report is narrowed).
 package main
 

@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Non-flag args are accepted for familiarity (./...) but the engine
 	// always lints the whole module; anything narrower would miss
-	// cross-package rules like poolescape.
+	// cross-package rules like hotpathalloc and determflow.
 	for _, arg := range fs.Args() {
 		if arg != "./..." && arg != "." {
 			fmt.Fprintf(stderr, "dophy-lint: ignoring %q (whole-module analysis only)\n", arg)

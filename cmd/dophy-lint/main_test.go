@@ -60,9 +60,9 @@ func goldenDiags() []lint.Diagnostic {
 			Msg:  "map iteration order leaks into output: fmt.Fprintf inside range over map; iterate sorted keys instead",
 		},
 		{
-			Pos:  token.Position{Filename: "internal/routing/neighbors.go", Line: 19, Column: 2},
-			Rule: "poolescape",
-			Msg:  "struct field retains pooled sim.Event: pooled objects are recycled by their owning package and must not outlive their handler/Cancel window",
+			Pos:  token.Position{Filename: "internal/routing/neighbors.go", Line: 19, Column: 9},
+			Rule: "hotpathalloc",
+			Msg:  "closure allocates per call (capture environment) [hot path: internal/routing.(*Protocol).scheduleNow]",
 		},
 		{
 			Pos:  token.Position{Filename: "internal/tomo/lsq/lsq.go", Line: 64, Column: 2},

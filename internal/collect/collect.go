@@ -185,7 +185,7 @@ func New(cfg Config, eng *sim.Engine, tp *topo.Topology, arq *mac.ARQ, proto Rou
 // per-node streams, and packets leaving the shard travel over the fabric.
 // With zero hooks it is exactly New.
 func NewSharded(cfg Config, eng *sim.Engine, tp *topo.Topology, arq *mac.ARQ, proto Router, r jitterSource, rec *trace.Recorder, hooks ShardHooks) *Network {
-	if cfg.GenPeriod <= 0 {
+	if !(cfg.GenPeriod > 0) {
 		panic("collect: generation period must be positive")
 	}
 	if cfg.TTL < 1 {

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"math"
 	"testing"
 
 	"dophy/internal/mac"
@@ -226,6 +227,7 @@ func TestConfigValidation(t *testing.T) {
 	arq := mac.New(mac.DefaultConfig(), model, rng.New(1), nil)
 	for name, cfg := range map[string]Config{
 		"zero period": {GenPeriod: 0, TTL: 4},
+		"NaN period":  {GenPeriod: sim.Time(math.NaN()), TTL: 4},
 		"zero ttl":    {GenPeriod: 1, TTL: 0},
 	} {
 		func() {

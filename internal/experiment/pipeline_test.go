@@ -141,8 +141,8 @@ func snapshotOutcome(eo *EpochOutcome) string {
 	var b strings.Builder
 	truth := *eo.Truth
 	truth.Table = nil
-	fmt.Fprintf(&b, "epoch=%d drops=%d dirty=%d perPacket=%v\ntruth=%+v\n",
-		eo.Epoch, eo.QueueDrops, eo.DirtyLinks, eo.PerPacket, truth)
+	fmt.Fprintf(&b, "epoch=%d drops=%d perPacket=%v\ntruth=%+v\n",
+		eo.Epoch, eo.QueueDrops, eo.PerPacket, truth)
 	names := make([]string, 0, len(eo.Schemes))
 	for name := range eo.Schemes {
 		names = append(names, name)

@@ -287,10 +287,6 @@ type EpochOutcome struct {
 	// PerPacket holds (hops, dophyBits) samples for overhead-vs-path-length
 	// analysis.
 	PerPacket []PacketSample
-	// DirtyLinks counts ground-truth links whose counts changed since the
-	// previous epoch (trace.Epoch.DirtyCount) — the drift sparsity the
-	// incremental estimators exploit. Diagnostic only: never rendered.
-	DirtyLinks int
 	// EstSeconds is the wall-clock time the estimation stage (MINC + LSQ)
 	// spent on this epoch. Like T4's throughput row it measures the
 	// implementation, so it never feeds simulation state and is excluded

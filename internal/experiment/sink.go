@@ -98,7 +98,6 @@ func (k *sink) onJourney(j *collect.PacketJourney) {
 func (k *sink) cut(epoch int, truth *trace.Epoch, queueDrops int64) *epochCut {
 	// Seven schemes land in the map every full epoch: size it once up front.
 	eo := &EpochOutcome{Epoch: epoch, Truth: truth, Schemes: make(map[string]*SchemeEpoch, 8)}
-	eo.DirtyLinks = truth.DirtyCount()
 	eo.Schemes[SchemeDophy] = fromDophy(SchemeDophy, k.dophy.EndEpoch())
 	c := &epochCut{out: eo}
 	if k.bank != nil {

@@ -32,7 +32,7 @@ type Rule interface {
 // AllRules returns the full rule catalogue.
 func AllRules() []Rule {
 	return []Rule{
-		ruleMapRange{}, ruleGoStmt{}, rulePoolEscape{}, ruleDenseBound{}, ruleHotPathAlloc{},
+		ruleMapRange{}, ruleGoStmt{}, ruleDenseBound{}, ruleHotPathAlloc{},
 		ruleDetermFlow{}, ruleIdxDomain{}, ruleValRange{}, ruleExhaustive{},
 	}
 }

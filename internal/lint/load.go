@@ -59,9 +59,6 @@ type Module struct {
 	Fset     *token.FileSet
 	Packages []*Package // sorted by RelPath
 
-	// pooled lazily caches the module-wide pooled-type registry used by
-	// the poolescape rule (see rules.go).
-	pooled map[types.Object]bool
 	// cg, implCache and named lazily cache the whole-module call graph
 	// and its class-hierarchy support data (see callgraph.go).
 	cg        *CallGraph

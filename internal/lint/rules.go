@@ -282,139 +282,6 @@ func (ruleGoStmt) Check(m *Module, pkg *Package, report func(pos token.Pos, form
 }
 
 // ---------------------------------------------------------------------------
-// Rule poolescape: pooled objects must not be retained across packages.
-//
-// A type fed by a free list (e.g. sim.Event) is recycled: the pointer is
-// only valid while the object is live, and the owning package may hand the
-// same memory to an unrelated caller later. Storing such a pointer in a
-// struct field outside the owning package is a use-after-recycle (or
-// cancel-the-wrong-event) bug waiting to happen.
-// ---------------------------------------------------------------------------
-
-type rulePoolEscape struct{}
-
-func (rulePoolEscape) Name() string { return "poolescape" }
-
-func (rulePoolEscape) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	pooled := m.pooledTypes()
-	if len(pooled) == 0 {
-		return
-	}
-	for _, file := range pkg.Files {
-		ast.Inspect(file.AST, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				tv, ok := pkg.Info.Types[field.Type]
-				if !ok || tv.Type == nil {
-					continue
-				}
-				obj := containsPooled(tv.Type, pooled, 0)
-				if obj == nil || obj.Pkg() == pkg.Types {
-					continue
-				}
-				report(field.Pos(), "struct field retains pooled %s.%s: pooled objects are recycled by their owning package and must not outlive their handler/Cancel window",
-					obj.Pkg().Name(), obj.Name())
-			}
-			return true
-		})
-	}
-}
-
-// pooledTypes returns the module's pooled types: named types T for which
-// some struct in T's own package keeps a free list — a field of type []T or
-// []*T whose name contains "free" or "pool".
-func (m *Module) pooledTypes() map[types.Object]bool {
-	if m.pooled != nil {
-		return m.pooled
-	}
-	m.pooled = map[types.Object]bool{}
-	for _, pkg := range m.Packages {
-		for _, file := range pkg.Files {
-			ast.Inspect(file.AST, func(n ast.Node) bool {
-				st, ok := n.(*ast.StructType)
-				if !ok || st.Fields == nil {
-					return true
-				}
-				for _, field := range st.Fields.List {
-					if !freeListName(field.Names) {
-						continue
-					}
-					tv, ok := pkg.Info.Types[field.Type]
-					if !ok || tv.Type == nil {
-						continue
-					}
-					slice, ok := tv.Type.Underlying().(*types.Slice)
-					if !ok {
-						continue
-					}
-					elem := slice.Elem()
-					if ptr, ok := elem.(*types.Pointer); ok {
-						elem = ptr.Elem()
-					}
-					named, ok := elem.(*types.Named)
-					if !ok || named.Obj().Pkg() != pkg.Types {
-						continue
-					}
-					m.pooled[named.Obj()] = true
-				}
-				return true
-			})
-		}
-	}
-	return m.pooled
-}
-
-// freeListName reports whether any field name marks a free list / pool.
-func freeListName(names []*ast.Ident) bool {
-	for _, n := range names {
-		lower := strings.ToLower(n.Name)
-		if strings.Contains(lower, "free") || strings.Contains(lower, "pool") {
-			return true
-		}
-	}
-	return false
-}
-
-// containsPooled walks a type's unnamed structure looking for a pooled
-// named type. It deliberately does not descend into named types' underlying
-// structure: holding a *sim.Engine (which owns a free list) is fine; holding
-// a *sim.Event (which is on one) is not.
-func containsPooled(t types.Type, pooled map[types.Object]bool, depth int) types.Object {
-	if depth > 8 {
-		return nil
-	}
-	switch v := t.(type) {
-	case *types.Named:
-		if pooled[v.Obj()] {
-			return v.Obj()
-		}
-	case *types.Pointer:
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Slice:
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Array:
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Map:
-		if obj := containsPooled(v.Key(), pooled, depth+1); obj != nil {
-			return obj
-		}
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Chan:
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Struct:
-		for i := 0; i < v.NumFields(); i++ {
-			if obj := containsPooled(v.Field(i).Type(), pooled, depth+1); obj != nil {
-				return obj
-			}
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // Rule densebound: estimation-pipeline state is indexed by topo.LinkTable.
 //
 // The estimation pipeline keeps per-link state in flat vectors indexed by

@@ -1,16 +1,12 @@
 // Package shard mirrors the real internal/sim/shard: the file-scoped
 // concurrency-boundary pragma sanctions the conservative-lookahead
 // worker goroutines (nogo and the determflow goroutine taint stay
-// silent). Pooled-object hygiene still applies: shard state may not
-// retain another package's pooled objects across windows.
+// silent).
 //
 //dophy:concurrency-boundary -- fixture worker-per-shard engine; state crosses only at barrier functions
 package shard
 
-import (
-	"fixture/internal/pool"
-	"fixture/internal/topo"
-)
+import "fixture/internal/topo"
 
 // Engine runs one worker goroutine per shard beyond the first.
 type Engine struct {
@@ -37,9 +33,3 @@ func (e *Engine) worker(i topo.ShardID) {
 //
 //dophy:barrier // want "unknown directive //dophy:barrier"
 func (e *Engine) Merged() uint64 { return e.merged }
-
-// Outbox leaks a pooled object across the shard boundary: sanctioning the
-// goroutine does NOT sanction retaining recycled objects past a window.
-type Outbox struct {
-	last *pool.Obj // want "retains pooled pool.Obj"
-}

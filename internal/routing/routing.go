@@ -131,10 +131,10 @@ type Protocol struct {
 	rec     *trace.Recorder
 	nodes   []*nodeState
 	started bool
-	// pendingBeacon marks nodes with an extra beacon queued by scheduleNow.
-	// Deliberately a flag and not the *sim.Event itself: events are pooled
-	// and recycle the moment they fire, so retaining one here would be a
-	// use-after-recycle hazard (dophy-lint rule poolescape).
+	// pendingBeacon marks nodes with an extra beacon queued by scheduleNow,
+	// so repeated data-path trouble queues at most one; the handler clears
+	// it when the beacon fires. Scheduled events cannot be cancelled, so
+	// this flag is the only handle on a queued extra beacon.
 	pendingBeacon []bool
 	// beaconFns holds one prebuilt beacon handler per node, so periodic
 	// rescheduling does not allocate a fresh closure every beacon.
@@ -162,7 +162,7 @@ func New(cfg Config, eng *sim.Engine, tp *topo.Topology, model radio.Model, r *r
 // come from per-node streams, and beacons cross the boundary through the
 // fabric. With zero hooks it is exactly New.
 func NewSharded(cfg Config, eng *sim.Engine, tp *topo.Topology, model radio.Model, r *rng.Source, rec *trace.Recorder, hooks ShardHooks) *Protocol {
-	if cfg.BeaconPeriod <= 0 {
+	if !(cfg.BeaconPeriod > 0) {
 		panic("routing: beacon period must be positive")
 	}
 	if cfg.Window < 1 {

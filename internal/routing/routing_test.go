@@ -183,6 +183,7 @@ func TestConfigValidation(t *testing.T) {
 	model := radio.NewStaticUniformLoss(tp, 0)
 	for name, cfg := range map[string]Config{
 		"zero period": {BeaconPeriod: 0, Window: 5},
+		"NaN period":  {BeaconPeriod: sim.Time(math.NaN()), Window: 5},
 		"zero window": {BeaconPeriod: 1, Window: 0},
 	} {
 		func() {

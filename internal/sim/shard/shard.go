@@ -2,7 +2,7 @@
 // lookahead, without giving up byte-determinism.
 //
 // The topology is partitioned spatially (topo.Partition) and each shard
-// owns a private sim.Engine — its own heap, free list and clock — plus the
+// owns a private sim.Engine — its own event heap and clock — plus the
 // state of its nodes. Shards execute windows of virtual time in parallel:
 // a window starting at the earliest pending event time t runs every shard
 // with RunBefore(t+L), where the lookahead L is the minimum latency of any

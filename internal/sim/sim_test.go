@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// forever is the horizon that drains the queue.
+var forever = Time(math.Inf(1))
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := New()
 	var got []Time
@@ -14,7 +17,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 		at := at
 		e.Schedule(at, func() { got = append(got, at) })
 	}
-	e.RunAll()
+	e.Run(forever)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatalf("events out of order: %v", got)
 	}
@@ -30,7 +33,7 @@ func TestFIFOTieBreak(t *testing.T) {
 		i := i
 		e.Schedule(1, func() { got = append(got, i) })
 	}
-	e.RunAll()
+	e.Run(forever)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events not FIFO: %v", got)
@@ -45,9 +48,9 @@ func TestClockAdvances(t *testing.T) {
 			t.Errorf("Now() = %v inside event at 2.5", e.Now())
 		}
 	})
-	end := e.RunAll()
+	end := e.Run(forever)
 	if end != 2.5 {
-		t.Fatalf("RunAll returned %v, want 2.5", end)
+		t.Fatalf("Run returned %v, want 2.5", end)
 	}
 }
 
@@ -57,7 +60,7 @@ func TestAfter(t *testing.T) {
 	e.Schedule(1, func() {
 		e.After(0.5, func() { at = e.Now() })
 	})
-	e.RunAll()
+	e.Run(forever)
 	if at != 1.5 {
 		t.Fatalf("After fired at %v, want 1.5", at)
 	}
@@ -66,13 +69,41 @@ func TestAfter(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
 	e.Schedule(5, func() {})
-	e.RunAll()
+	e.Run(forever)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
 	e.Schedule(1, func() {})
+}
+
+// TestScheduleNaNPanics pins that a NaN time is rejected like a past one:
+// it would otherwise break heap order and, once popped, set the clock to
+// NaN, after which every past-time check passes vacuously.
+func TestScheduleNaNPanics(t *testing.T) {
+	nan := Time(math.NaN())
+	for _, c := range []struct {
+		name     string
+		schedule func(*Engine)
+	}{
+		{"Schedule", func(e *Engine) { e.Schedule(nan, func() {}) }},
+		{"After", func(e *Engine) { e.After(nan, func() {}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			e.Schedule(1, func() {})
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s at NaN did not panic", c.name)
+				}
+				if e.Pending() != 1 || e.Now() != 0 {
+					t.Fatalf("rejected NaN event left Pending=%d Now=%v", e.Pending(), e.Now())
+				}
+			}()
+			c.schedule(e)
+		})
+	}
 }
 
 func TestNilHandlerPanics(t *testing.T) {
@@ -85,142 +116,23 @@ func TestNilHandlerPanics(t *testing.T) {
 	e.Schedule(1, nil)
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.Schedule(1, func() { fired = true })
-	e.Cancel(ev)
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestCancelRemovesFromQueueEagerly(t *testing.T) {
-	e := New()
-	keep := e.Schedule(1, func() {})
-	drop := e.Schedule(2, func() {})
-	e.Cancel(drop)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d after cancel, want 1 (eager removal)", e.Pending())
-	}
-	e.Cancel(drop) // second cancel of a dead event: no-op
-	if e.Pending() != 1 {
-		t.Fatalf("double cancel disturbed the queue: Pending() = %d", e.Pending())
-	}
-	_ = keep
-	e.RunAll()
-	if e.Processed() != 1 {
-		t.Fatalf("Processed() = %d, want 1", e.Processed())
-	}
-}
-
-func TestCancelMidHeapKeepsOrder(t *testing.T) {
-	e := New()
-	var got []Time
-	evs := make([]*Event, 0, 10)
-	for i := 1; i <= 10; i++ {
-		at := Time(i)
-		evs = append(evs, e.Schedule(at, func() { got = append(got, at) }))
-	}
-	// Cancel from the middle of the heap; remaining events must still fire
-	// in time order.
-	e.Cancel(evs[4])
-	e.Cancel(evs[7])
-	e.RunAll()
-	if len(got) != 8 {
-		t.Fatalf("fired %d events, want 8", len(got))
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatalf("events out of order after mid-heap cancel: %v", got)
-	}
-	for _, at := range got {
-		if at == 5 || at == 8 {
-			t.Fatalf("cancelled event at %v fired", at)
-		}
-	}
-}
-
-func TestEventRecycling(t *testing.T) {
-	e := New()
-	first := e.Schedule(1, func() {})
-	e.RunAll()
-	second := e.Schedule(2, func() {})
-	if first != second {
-		t.Fatal("fired event was not recycled by the next Schedule")
-	}
-	e.RunAll()
-
-	cancelled := e.Schedule(3, func() {})
-	e.Cancel(cancelled)
-	reused := e.Schedule(4, func() {})
-	if cancelled != reused {
-		t.Fatal("cancelled event was not recycled by the next Schedule")
-	}
-	if reused.Cancelled() {
-		t.Fatal("recycled event still marked cancelled")
-	}
-	fired := false
-	reused.fn = func() { fired = true }
-	e.RunAll()
-	if !fired {
-		t.Fatal("recycled event did not fire")
-	}
-}
-
 func TestScheduleSteadyStateAllocs(t *testing.T) {
-	if InvariantsEnabled {
-		t.Skip("dophy_invariants build trades allocation-freedom for checking")
-	}
 	e := New()
-	// Warm the free list and the heap's backing array.
+	// Warm the heap's backing array.
 	for i := 0; i < 64; i++ {
 		e.Schedule(Time(i), func() {})
 	}
-	e.RunAll()
+	e.Run(forever)
 	base := e.Now()
 	allocs := testing.AllocsPerRun(100, func() {
 		base++
 		e.Schedule(base, func() {})
-		e.RunAll()
+		e.Run(forever)
 	})
-	// One closure allocation per iteration is inherent to the func literal
-	// above; the Event itself must come from the free list.
-	if allocs > 1 {
-		t.Fatalf("schedule/run cycle allocates %.1f objects, want <= 1", allocs)
-	}
-}
-
-func TestCancelTwiceIsNoOp(t *testing.T) {
-	e := New()
-	fired := false
-	keep := e.Schedule(2, func() { fired = true })
-	victim := e.Schedule(1, func() { t.Fatal("cancelled event fired") })
-	e.Cancel(victim)
-	e.Cancel(victim) // double cancel: must not touch the free list again
-	e.RunAll()
-	if !fired {
-		t.Fatal("surviving event did not fire")
-	}
-	_ = keep
-	// The free list must hold exactly two distinct events (victim + keep);
-	// a corrupted list would hand the same pointer out twice.
-	a := e.Schedule(3, func() {})
-	b := e.Schedule(4, func() {})
-	if a == b {
-		t.Fatal("free list corrupted: two live events share one pointer")
-	}
-	e.RunAll()
-}
-
-func TestCancelForeignEventIgnored(t *testing.T) {
-	e1, e2 := New(), New()
-	fired := false
-	ev := e1.Schedule(1, func() { fired = true })
-	e2.Cancel(ev) // wrong engine: must be a no-op
-	e1.RunAll()
-	if !fired {
-		t.Fatal("event was cancelled by a foreign engine")
+	// The func literal captures nothing, so it is static; the event is a
+	// value in the heap's reused backing array.
+	if allocs != 0 {
+		t.Fatalf("schedule/run cycle allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -239,29 +151,9 @@ func TestRunHorizon(t *testing.T) {
 		t.Fatalf("Run(2) returned %v", end)
 	}
 	// Remaining event still fires on a later run.
-	e.RunAll()
+	e.Run(forever)
 	if len(fired) != 3 {
 		t.Fatalf("event after horizon lost: %v", fired)
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.RunAll()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop at 3", count)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false")
 	}
 }
 
@@ -270,7 +162,7 @@ func TestProcessedCount(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e.Schedule(Time(i), func() {})
 	}
-	e.RunAll()
+	e.Run(forever)
 	if e.Processed() != 7 {
 		t.Fatalf("Processed() = %d, want 7", e.Processed())
 	}
@@ -284,80 +176,13 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 		e.Schedule(1.5, func() { order = append(order, "nested") })
 	})
 	e.Schedule(2, func() { order = append(order, "b") })
-	e.RunAll()
+	e.Run(forever)
 	want := []string{"a", "nested", "b"}
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-}
-
-func TestTicker(t *testing.T) {
-	e := New()
-	var times []Time
-	var ticks []int
-	stop := e.Ticker(0.5, 1, func(tick int) {
-		times = append(times, e.Now())
-		ticks = append(ticks, tick)
-	})
-	e.Run(3.6)
-	stop()
-	e.RunAll()
-	want := []Time{0.5, 1.5, 2.5, 3.5}
-	if len(times) != len(want) {
-		t.Fatalf("ticker fired at %v, want %v", times, want)
-	}
-	for i := range want {
-		if math.Abs(float64(times[i]-want[i])) > 1e-9 || ticks[i] != i {
-			t.Fatalf("tick %d at %v, want index %d at %v", ticks[i], times[i], i, want[i])
-		}
-	}
-}
-
-func TestTickerStopPreventsFutureTicks(t *testing.T) {
-	e := New()
-	count := 0
-	var stop func()
-	stop = e.Ticker(1, 1, func(int) {
-		count++
-		if count == 2 {
-			stop()
-		}
-	})
-	e.Run(10)
-	if count != 2 {
-		t.Fatalf("ticker fired %d times after stop at 2", count)
-	}
-}
-
-func TestTickerStopCancelsQueuedEvent(t *testing.T) {
-	e := New()
-	stop := e.Ticker(1, 1, func(int) {})
-	e.Run(2.5)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d mid-ticker, want 1", e.Pending())
-	}
-	stop()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after stop, want 0 (next tick not cancelled)", e.Pending())
-	}
-	stop() // idempotent
-	before := e.Processed()
-	e.RunAll()
-	if e.Processed() != before {
-		t.Fatal("stopped ticker still processed events")
-	}
-}
-
-func TestTickerBadPeriodPanics(t *testing.T) {
-	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero period did not panic")
-		}
-	}()
-	e.Ticker(0, 0, func(int) {})
 }
 
 // Property: for any batch of event times, execution order is a sorted,
@@ -370,7 +195,7 @@ func TestQuickOrdering(t *testing.T) {
 			at := Time(r) / 16
 			e.Schedule(at, func() { got = append(got, at) })
 		}
-		e.RunAll()
+		e.Run(forever)
 		if len(got) != len(raw) {
 			return false
 		}
@@ -388,7 +213,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			e.Schedule(Time(j%97), func() {})
 		}
-		e.RunAll()
+		e.Run(forever)
 	}
 }
 
@@ -411,25 +236,22 @@ func TestNextAtTracksHead(t *testing.T) {
 	}
 }
 
+// TestNextAtCancelReschedule checks NextAt as the head leaves the queue and a
+// new event takes its place. Events have no cancel handle, so the head leaves
+// by running.
 func TestNextAtCancelReschedule(t *testing.T) {
 	e := New()
-	first := e.Schedule(1, func() {})
-	e.Schedule(3, func() {})
-	e.Cancel(first)
-	if got := e.NextAt(); got != 3 {
-		t.Fatalf("NextAt after cancelling head = %v, want 3", got)
-	}
-	// The cancelled event's struct is recycled; a new schedule must surface
-	// at the head with its new time, not any stale one.
 	e.Schedule(2, func() {})
-	if got := e.NextAt(); got != 2 {
-		t.Fatalf("NextAt after reschedule = %v, want 2", got)
+	e.Schedule(5, func() {})
+	e.Run(2)
+	if got := e.NextAt(); got != 5 {
+		t.Fatalf("NextAt after running the head = %v, want 5", got)
 	}
-	e.Cancel(e.Schedule(0.5, func() {}))
-	if got := e.NextAt(); got != 2 {
-		t.Fatalf("NextAt after schedule+cancel = %v, want 2", got)
+	e.Schedule(3, func() {})
+	if got := e.NextAt(); got != 3 {
+		t.Fatalf("NextAt after reschedule = %v, want 3", got)
 	}
-	e.RunAll()
+	e.Run(forever)
 	if got := e.NextAt(); !math.IsInf(float64(got), 1) {
 		t.Fatalf("NextAt after drain = %v, want +Inf", got)
 	}
@@ -477,26 +299,96 @@ func TestRunBeforeAdvancesClockWhenIdle(t *testing.T) {
 	e.Schedule(6, func() {})
 }
 
-func TestRunBeforeCancelRescheduleInsideWindow(t *testing.T) {
+func TestRunBeforeScheduleBeyondHorizonInsideWindow(t *testing.T) {
 	e := New()
 	var fired []string
-	var late *Event
 	e.Schedule(1, func() {
-		// Cancel an event inside the window and replace it beyond the horizon.
-		e.Cancel(late)
+		// One follow-up inside the window, one beyond its horizon.
+		e.Schedule(2, func() { fired = append(fired, "inside") })
 		e.Schedule(10, func() { fired = append(fired, "late") })
 		fired = append(fired, "first")
 	})
-	late = e.Schedule(2, func() { fired = append(fired, "dead") })
 	e.RunBefore(5)
-	if len(fired) != 1 || fired[0] != "first" {
-		t.Fatalf("window ran %v, want [first]", fired)
+	if len(fired) != 2 || fired[0] != "first" || fired[1] != "inside" {
+		t.Fatalf("window ran %v, want [first inside]", fired)
 	}
 	if at := e.NextAt(); at != 10 {
 		t.Fatalf("NextAt = %v, want 10", at)
 	}
-	e.RunAll()
-	if len(fired) != 2 || fired[1] != "late" {
-		t.Fatalf("drain ran %v, want [first late]", fired)
+	e.Run(forever)
+	if len(fired) != 3 || fired[2] != "late" {
+		t.Fatalf("drain ran %v, want [first inside late]", fired)
 	}
+}
+
+// FuzzEventOrder decodes the input into byte pairs (op, arg): op%4 0 and 1
+// schedule at Now()+(arg%8)/2, so ties are common, and op&4 makes that
+// event schedule a follow-up at Now()+(op>>4%4)/2 when it fires; op%4 2
+// and 3 run with Run and RunBefore to the horizon Now()+(arg%8)/2. After a
+// final drain the fired sequence must be every scheduled event, in the
+// order a stable sort of the schedule calls by time gives, each firing at
+// its own time, and Now must never have decreased.
+func FuzzEventOrder(f *testing.F) {
+	f.Add([]byte{0, 3, 4, 3, 1, 0, 2, 2, 0x14, 1, 3, 3, 0, 0, 0x34, 0})
+	f.Add([]byte{0, 7, 0, 7, 4, 7, 3, 7, 0, 0, 2, 0, 0x24, 1, 3, 1})
+	f.Add([]byte{3, 5, 0, 0, 0x14, 0, 2, 8, 1, 1})
+	f.Add([]byte{0, 7, 0, 0, 0, 0, 0, 0}) // a late event, then three ties: each pop must pick the smaller child
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := New()
+		var times []Time // scheduled time by schedule-call order
+		var fired []int
+		last := e.Now()
+		monotone := func(where string) {
+			if e.Now() < last {
+				t.Fatalf("%s: Now went back from %v to %v", where, last, e.Now())
+			}
+			last = e.Now()
+		}
+		var schedule func(at Time, follow int)
+		schedule = func(at Time, follow int) {
+			id := len(times)
+			times = append(times, at)
+			e.Schedule(at, func() {
+				monotone("handler")
+				if e.Now() != at {
+					t.Fatalf("event %d scheduled at %v fired at %v", id, at, e.Now())
+				}
+				fired = append(fired, id)
+				if follow >= 0 {
+					schedule(e.Now()+Time(follow)/2, -1)
+				}
+			})
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			op, arg := data[i], data[i+1]
+			d := Time(arg%8) / 2
+			switch op % 4 {
+			case 0, 1:
+				follow := -1
+				if op&4 != 0 {
+					follow = int(op>>4) % 4
+				}
+				schedule(e.Now()+d, follow)
+			case 2:
+				e.Run(e.Now() + d)
+			case 3:
+				e.RunBefore(e.Now() + d)
+			}
+			monotone("after op")
+		}
+		e.Run(forever)
+		want := make([]int, len(times))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return times[want[i]] < times[want[j]] })
+		if len(fired) != len(want) {
+			t.Fatalf("fired %d of %d scheduled events", len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("fired order %v, want %v", fired, want)
+			}
+		}
+	})
 }

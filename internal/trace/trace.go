@@ -14,7 +14,6 @@ package trace
 
 import (
 	"fmt"
-	"math/bits"
 
 	"dophy/internal/topo"
 )
@@ -43,7 +42,6 @@ func (c LinkCounts) Loss(minAttempts int64) (float64, bool) {
 type Recorder struct {
 	lt            *topo.LinkTable
 	counts        []LinkCounts // indexed by lt
-	prev          []LinkCounts // counts of the previous cut, kept for dirty diffing
 	Generated     int64        // data packets created at origins
 	Delivered     int64        // data packets that reached the sink
 	Dropped       int64        // data packets dropped after retry exhaustion
@@ -55,7 +53,6 @@ func NewRecorder(lt *topo.LinkTable) *Recorder {
 	return &Recorder{
 		lt:     lt,
 		counts: make([]LinkCounts, lt.Len()),
-		prev:   make([]LinkCounts, lt.Len()),
 	}
 }
 
@@ -112,11 +109,6 @@ type Epoch struct {
 	Delivered     int64
 	Dropped       int64
 	ParentChanges int64
-	// dirty is a dense bitmap over Table indices: bit i is set when link
-	// i's counts differ from the previous cut of the same recorder(s). A
-	// nil bitmap means no previous cut is known and every link must be
-	// treated as dirty.
-	dirty []uint64
 }
 
 // Link returns the counts for l (zero value if untouched or unknown).
@@ -161,41 +153,6 @@ func (e *Epoch) ActiveLinkCount(minAttempts int64) int {
 	return n
 }
 
-// LinkDirty reports whether link i's counts changed relative to the
-// previous cut. Without a previous cut every link reports dirty.
-func (e *Epoch) LinkDirty(i topo.LinkIdx) bool {
-	if e.dirty == nil {
-		return true
-	}
-	return e.dirty[uint(i)>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// DirtyCount returns how many links changed since the previous cut.
-func (e *Epoch) DirtyCount() int {
-	if e.dirty == nil {
-		return len(e.Counts)
-	}
-	n := 0
-	for _, w := range e.dirty {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// DirtyLinks returns the indices of the links whose counts changed since
-// the previous cut, in canonical table order. It allocates; incremental
-// consumers on hot paths should query LinkDirty against the bitmap
-// instead.
-func (e *Epoch) DirtyLinks() []topo.LinkIdx {
-	out := make([]topo.LinkIdx, 0, e.DirtyCount())
-	for i := topo.LinkIdx(0); int(i) < len(e.Counts); i++ {
-		if e.LinkDirty(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // DeliveryRatio returns delivered/generated for the epoch (1 if nothing was
 // generated).
 func (e *Epoch) DeliveryRatio() float64 {
@@ -225,13 +182,6 @@ func CutMerged(recs []*Recorder) *Epoch {
 			e.Counts[i].Successes += part.Counts[i].Successes
 			e.Counts[i].DataAttempts += part.Counts[i].DataAttempts
 		}
-		// The merged counts are per-shard sums, so a link is unchanged
-		// exactly when every shard's contribution is unchanged: OR-ing the
-		// per-shard bitmaps is sound for any partition and exact when each
-		// link is recorded by a single shard (sender-side recording).
-		for i := range e.dirty {
-			e.dirty[i] |= part.dirty[i]
-		}
 		e.Generated += part.Generated
 		e.Delivered += part.Delivered
 		e.Dropped += part.Dropped
@@ -241,9 +191,8 @@ func CutMerged(recs []*Recorder) *Epoch {
 }
 
 // Cut snapshots the current counters into an Epoch and zeroes the recorder
-// in place for the next one. The dirty bitmap is diffed against the
-// previous cut's counts here, while both windows are still at hand — the
-// snapshot and the bitmap are the only per-epoch allocations.
+// in place for the next one. The snapshot is the only per-epoch
+// allocation.
 func (r *Recorder) Cut() *Epoch {
 	e := &Epoch{
 		Table:         r.lt,
@@ -252,15 +201,8 @@ func (r *Recorder) Cut() *Epoch {
 		Delivered:     r.Delivered,
 		Dropped:       r.Dropped,
 		ParentChanges: r.ParentChanges,
-		dirty:         make([]uint64, (len(r.counts)+63)/64),
 	}
 	copy(e.Counts, r.counts)
-	for i := range r.counts {
-		if r.counts[i] != r.prev[i] {
-			e.dirty[uint(i)>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	copy(r.prev, r.counts)
 	clear(r.counts)
 	r.Generated, r.Delivered, r.Dropped, r.ParentChanges = 0, 0, 0, 0
 	return e

@@ -146,81 +146,28 @@ func TestBeaconVsDataAttempts(t *testing.T) {
 	}
 }
 
-func TestDirtyLinksAcrossCuts(t *testing.T) {
-	lt := testTable(t)
-	r := NewRecorder(lt)
-	i12 := lt.Index(l12)
-	i21 := lt.Index(l21)
-
-	// First cut: no previous window, so exactly the touched links are dirty
-	// (untouched links are zero in both windows).
-	r.Attempt(l12, true)
-	e1 := r.Cut()
-	if !e1.LinkDirty(i12) || e1.LinkDirty(i21) {
-		t.Fatalf("first cut dirty = %v", e1.DirtyLinks())
-	}
-	if got := e1.DirtyLinks(); len(got) != 1 || got[0] != i12 {
-		t.Fatalf("DirtyLinks = %v, want [%d]", got, i12)
-	}
-	if e1.DirtyCount() != 1 {
-		t.Fatalf("DirtyCount = %d", e1.DirtyCount())
-	}
-
-	// Second epoch repeats the first exactly: nothing is dirty.
-	r.Attempt(l12, true)
-	e2 := r.Cut()
-	if e2.DirtyCount() != 0 {
-		t.Fatalf("identical epoch dirty = %v", e2.DirtyLinks())
-	}
-
-	// Third epoch changes l12's outcome mix and touches l21.
-	r.Attempt(l12, false)
-	r.Attempt(l21, true)
-	e3 := r.Cut()
-	if !e3.LinkDirty(i12) || !e3.LinkDirty(i21) || e3.DirtyCount() != 2 {
-		t.Fatalf("third cut dirty = %v", e3.DirtyLinks())
-	}
-
-	// Fourth epoch is silent: the previously-active links went quiet, which
-	// is itself a change.
-	e4 := r.Cut()
-	if !e4.LinkDirty(i12) || !e4.LinkDirty(i21) {
-		t.Fatalf("quiet epoch dirty = %v", e4.DirtyLinks())
-	}
-	e5 := r.Cut()
-	if e5.DirtyCount() != 0 {
-		t.Fatalf("steady quiet epoch dirty = %v", e5.DirtyLinks())
-	}
-}
-
-func TestDirtyNilBitmapConservative(t *testing.T) {
-	lt := testTable(t)
-	e := &Epoch{Table: lt, Counts: make([]LinkCounts, lt.Len())}
-	if !e.LinkDirty(0) || e.DirtyCount() != len(e.Counts) {
-		t.Fatal("hand-built epoch without a bitmap must report all links dirty")
-	}
-	if got := e.DirtyLinks(); len(got) != len(e.Counts) {
-		t.Fatalf("DirtyLinks = %d entries, want %d", len(got), len(e.Counts))
-	}
-}
-
-func TestCutMergedDirtyUnion(t *testing.T) {
+func TestCutMergedSumsCounts(t *testing.T) {
 	lt := testTable(t)
 	ra, rb := NewRecorder(lt), NewRecorder(lt)
 	ra.Attempt(l12, true)
+	ra.Beacon(l21, true)
+	ra.Generated, ra.Delivered = 2, 1
 	rb.Attempt(l21, false)
+	rb.Attempt(l12, false)
+	rb.Generated, rb.Dropped, rb.ParentChanges = 1, 1, 3
 	e := CutMerged([]*Recorder{ra, rb})
-	if !e.LinkDirty(lt.Index(l12)) || !e.LinkDirty(lt.Index(l21)) {
-		t.Fatalf("merged dirty = %v", e.DirtyLinks())
+	if got, want := e.Link(l12), (LinkCounts{Attempts: 2, Successes: 1, DataAttempts: 2}); got != want {
+		t.Fatalf("merged %v = %+v, want %+v", l12, got, want)
 	}
-	if e.DirtyCount() != 2 {
-		t.Fatalf("merged DirtyCount = %d", e.DirtyCount())
+	if got, want := e.Link(l21), (LinkCounts{Attempts: 2, Successes: 1, DataAttempts: 1}); got != want {
+		t.Fatalf("merged %v = %+v, want %+v", l21, got, want)
 	}
-	// A second identical round is clean in both shards, hence clean merged.
-	ra.Attempt(l12, true)
-	rb.Attempt(l21, false)
-	if e := CutMerged([]*Recorder{ra, rb}); e.DirtyCount() != 0 {
-		t.Fatalf("identical merged round dirty = %v", e.DirtyLinks())
+	if e.Generated != 3 || e.Delivered != 1 || e.Dropped != 1 || e.ParentChanges != 3 {
+		t.Fatalf("merged totals = %+v", e)
+	}
+	// Both recorders were reset by the cut.
+	if e := CutMerged([]*Recorder{ra, rb}); e.Link(l12) != (LinkCounts{}) || e.Generated != 0 {
+		t.Fatalf("second merged cut not empty: %+v", e)
 	}
 }
 
