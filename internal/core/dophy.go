@@ -106,7 +106,7 @@ func (c Config) validate() {
 	if c.HopModelUpdateEvery > 0 && c.HopModelTotal < 16 {
 		panic("core: HopModelTotal too small to quantise")
 	}
-	if c.ObsDecay < 0 || c.ObsDecay > 1 {
+	if !(0 <= c.ObsDecay && c.ObsDecay <= 1) {
 		panic("core: ObsDecay must be in [0,1]")
 	}
 }

@@ -450,12 +450,16 @@ func TestObsDecayCarriesEvidence(t *testing.T) {
 }
 
 func TestObsDecayValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ObsDecay = 1.5
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ObsDecay 1.5 accepted")
-		}
-	}()
-	New(topo.Chain(2, 10, 10.5), cfg)
+	for _, decay := range []float64{1.5, -0.1, math.NaN()} {
+		func() {
+			cfg := DefaultConfig()
+			cfg.ObsDecay = decay
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ObsDecay %v accepted", decay)
+				}
+			}()
+			New(topo.Chain(2, 10, 10.5), cfg)
+		}()
+	}
 }

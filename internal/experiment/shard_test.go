@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"dophy/internal/collect"
 	"dophy/internal/topo"
 )
 
@@ -185,4 +187,95 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
+}
+
+// carrierTestScenario is a small Trickle grid for the fabric carrier tests:
+// cheap enough to repeat under the race detector, busy enough that beacons
+// and data hops cross every shard boundary.
+func carrierTestScenario() Scenario {
+	sc := DefaultScenario()
+	sc.Name = "carrier"
+	sc.Seed = 31
+	sc.Topo = GridSpec(8) // 64 nodes
+	sc.Routing.AdaptiveBeacon = true
+	sc.Routing.BeaconMin = 0.5
+	sc.Routing.BeaconMax = 2
+	sc.Routing.TrickleReset = 0.5
+	sc.Warmup = 30
+	sc.EpochLen = 60
+	sc.Epochs = 2
+	return sc
+}
+
+// TestShardedCarrierHandOff runs the carrier grid at four shards and checks
+// it against the single-shard reference. Fabric carriers come from the
+// sending shard's free list and return to the receiving shard's, so at K=4
+// they migrate between pools through the barrier merge; a write to a
+// carrier after its hand-off shows up here as a byte difference, and under
+// -race as a data race.
+func TestShardedCarrierHandOff(t *testing.T) {
+	sc := carrierTestScenario()
+	run := func(k int) (out string, dataCrossed int, st ShardStats) {
+		s := NewShardedSession(sc, DefaultShardSpec(k))
+		defer s.Close()
+		// Each shard's subscriber writes only its own slot.
+		crossed := make([]int, k)
+		for i, nw := range s.nws {
+			nw.Subscribe(func(j *collect.PacketJourney) {
+				for _, h := range j.Hops {
+					if h.Link.To != topo.Sink && s.owner[h.Link.From] != s.owner[h.Link.To] {
+						crossed[i]++
+					}
+				}
+			})
+		}
+		out = renderRun(runEpochs(sc, s, s.sink.bank))
+		for _, c := range crossed {
+			dataCrossed += c
+		}
+		return out, dataCrossed, s.Stats()
+	}
+	ref, _, _ := run(1)
+	got, dataCrossed, st := run(4)
+	if dataCrossed == 0 {
+		t.Fatal("no data hop crossed a shard boundary")
+	}
+	if st.Exchanged <= uint64(dataCrossed) {
+		t.Fatalf("%d cross-shard messages for %d cross-shard data hops: no beacon crossed", st.Exchanged, dataCrossed)
+	}
+	if got != ref {
+		t.Errorf("shards=4 diverges from shards=1:\n%s", firstDiff(ref, got))
+	}
+}
+
+// TestControlPlaneAllocs guards the allocation-free beacon path: on a warmed
+// single-shard Trickle grid, an epoch of beaconing may allocate per epoch
+// but never per received beacon. The data plane is kept quiet, since
+// journeys allocate per packet by design.
+func TestControlPlaneAllocs(t *testing.T) {
+	sc := carrierTestScenario()
+	sc.Topo = GridSpec(12) // 144 nodes
+	sc.EpochLen = 120
+	sc.Collect.GenPeriod = 1e6
+	s := NewShardedSession(sc, DefaultShardSpec(1))
+	defer s.Close()
+	s.cutEpoch() // warm the carrier pool, the event queue and the sink's buffers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := s.cutEpoch()
+	runtime.ReadMemStats(&after)
+	// Successes minus data attempts undercounts received beacons when data
+	// moves, which only tightens the bound.
+	var received int64
+	for _, lc := range c.out.Truth.Counts {
+		received += lc.Successes - lc.DataAttempts
+	}
+	if received < 10000 {
+		t.Fatalf("only %d beacons received: workload too light to measure", received)
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	if perBeacon := float64(mallocs) / float64(received); perBeacon >= 0.01 {
+		t.Errorf("%d mallocs over %d received beacons = %.4f per beacon, want < 0.01",
+			mallocs, received, perBeacon)
+	}
 }

@@ -57,55 +57,79 @@ type ShardStats struct {
 }
 
 // shardFabric carries beacons and data packets between nodes for one
-// source shard. It implements routing.Fabric and collect.Fabric. Each
-// shard gets its own instance so the hop-carrier pool below is
-// single-writer.
+// shard. It implements routing.Fabric and collect.Fabric. Each shard gets
+// its own instance, and with it its own carrier free list, which only that
+// shard's worker touches.
 type shardFabric struct {
 	s    *ShardedSession
-	src  topo.ShardID
-	free []*hopCarrier
+	k    topo.ShardID
+	free []*carrier
 }
 
-// hopCarrier is a pooled continuation for same-shard packet arrivals — the
-// sharded counterpart of collect's hopCont. Cross-shard arrivals allocate a
-// closure instead: they are the cut fraction, and pooling across shards
-// would make the free lists multi-writer. Once a carrier is back on the
-// free list the next carrier() call owns it; TestShardedByteDeterminism
-// pins that hand-off, since a write to c after the pool append corrupts
-// the next in-flight journey.
-type hopCarrier struct {
-	f  *shardFabric
-	to topo.NodeID
-	j  *collect.PacketJourney
-	fn sim.Handler
+// maxFreeCarriers caps a shard's free list. Cross-shard traffic moves
+// carriers from the sender's list to the receiver's (data hops mostly flow
+// one way, toward the sink), so an uncapped list would grow with every
+// hop into a shard; beyond the cap a returned carrier is left to the GC.
+const maxFreeCarriers = 1 << 14
+
+// carrier is a pooled continuation for one fabric delivery: a received
+// beacon (j == nil) or a data hop. It is the sharded counterpart of
+// collect's hopCont. A carrier comes from the sending shard's free list
+// and goes back to the free list of the shard that runs it, so every free
+// list has one writer; a cross-shard carrier changes hands only through
+// the outbox merge at the window barrier, which orders the two shards'
+// accesses. Once a carrier is back on a free list the next send owns it;
+// TestShardedByteDeterminism and TestShardedCarrierHandOff pin that
+// hand-off, since a write to c after the pool append corrupts the next
+// in-flight delivery.
+type carrier struct {
+	f        *shardFabric // the receiving shard's fabric
+	from, to topo.NodeID
+	seq      int64                  // beacon sequence number
+	adv      float64                // beacon's advertised path ETX
+	j        *collect.PacketJourney // nil for a beacon
+	fn       sim.Handler
 }
 
 // run is the carrier's continuation: it reads its payload into locals,
-// returns itself to the pool, and only then delivers: no field of c may
-// be touched after the pool append.
+// returns itself to the running shard's pool, and only then delivers: no
+// field of c may be touched after the pool append.
 //
 //dophy:hotpath
-func (c *hopCarrier) run() {
-	f, to, j := c.f, c.to, c.j
+func (c *carrier) run() {
+	f, from, to, seq, adv, j := c.f, c.from, c.to, c.seq, c.adv, c.j
 	c.j = nil
-	f.free = append(f.free, c)
-	f.s.nws[f.src].Arrive(to, j)
+	if len(f.free) < maxFreeCarriers {
+		f.free = append(f.free, c)
+	}
+	if j != nil {
+		f.s.nws[f.k].Arrive(to, j)
+		return
+	}
+	f.s.protos[f.k].ReceiveBeacon(to, from, seq, adv)
 }
 
+// send hands a delivery to node to at absolute time at on a pooled
+// carrier. Same-shard deliveries go straight onto the shard's queue;
+// cross-shard ones ride the outbox to the receiver's shard, after which
+// this shard may not touch the carrier (or j) again.
+//
 //dophy:hotpath
-func (f *shardFabric) carrier(to topo.NodeID, j *collect.PacketJourney) *hopCarrier {
+func (f *shardFabric) send(from, to topo.NodeID, at sim.Time, seq int64, adv float64, j *collect.PacketJourney) {
+	s := f.s
+	dst := s.owner[to]
+	var c *carrier
 	if n := len(f.free); n > 0 {
-		c := f.free[n-1]
+		c = f.free[n-1]
 		f.free[n-1] = nil
 		f.free = f.free[:n-1]
-		c.to, c.j = to, j
-		return c
+	} else {
+		//dophy:allow hotpathalloc -- carrier-pool miss path: allocates only until the pool warms up
+		c = &carrier{}
+		c.fn = c.run
 	}
-	//dophy:allow hotpathalloc -- carrier-pool miss path: allocates only until the pool warms up
-	c := &hopCarrier{f: f, to: to}
-	c.j = j
-	c.fn = c.run
-	return c
+	c.f, c.from, c.to, c.seq, c.adv, c.j = s.fabs[dst], from, to, seq, adv, j
+	s.eng.Send(f.k, at, from, dst, c.fn)
 }
 
 // DeliverData lands j on its next hop's owning shard at absolute time at.
@@ -115,15 +139,7 @@ func (f *shardFabric) carrier(to topo.NodeID, j *collect.PacketJourney) *hopCarr
 //
 //dophy:hotpath
 func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.PacketJourney) {
-	s := f.s
-	dst := s.owner[to]
-	if dst == f.src {
-		s.eng.Sub(f.src).Schedule(at, f.carrier(to, j).fn)
-		return
-	}
-	nw := s.nws[dst]
-	//dophy:allow hotpathalloc -- cross-shard forward: the closure carries the journey over the barrier; cut traffic only
-	s.eng.Send(f.src, at, from, dst, func() { nw.Arrive(to, j) }) // j rides the outbox to shard dst; this shard may not touch it again
+	f.send(from, to, at, 0, 0, j)
 }
 
 // DeliverBeacon applies a received beacon on the receiver's owning shard
@@ -131,12 +147,7 @@ func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.
 //
 //dophy:hotpath
 func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedETX float64) {
-	s := f.s
-	dst := s.owner[to]
-	at := s.eng.Sub(f.src).Now() + s.sp.BeaconLatency
-	p := s.protos[dst]
-	//dophy:allow hotpathalloc -- beacon receipt: low-rate control plane; the closure carries the payload to the receiver's shard
-	s.eng.Send(f.src, at, from, dst, func() { p.ReceiveBeacon(to, from, seq, advertisedETX) })
+	f.send(from, to, f.s.eng.Sub(f.k).Now()+f.s.sp.BeaconLatency, seq, advertisedETX, nil)
 }
 
 // ShardedSession is the partitioned counterpart of Session: one complete
@@ -239,7 +250,7 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 		for i := range owned {
 			owned[i] = owner[i] == topo.ShardID(k)
 		}
-		fab := &shardFabric{s: s, src: topo.ShardID(k)}
+		fab := &shardFabric{s: s, k: topo.ShardID(k)}
 		sub := s.eng.Sub(topo.ShardID(k))
 		rec := trace.NewRecorder(lt)
 		arq := mac.New(sc.Mac, model, root.Split(), rec)

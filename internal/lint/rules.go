@@ -282,13 +282,13 @@ func (ruleGoStmt) Check(m *Module, pkg *Package, report func(pos token.Pos, form
 }
 
 // ---------------------------------------------------------------------------
-// Rule densebound: estimation-pipeline state is indexed by topo.LinkTable.
+// Rule densebound: per-link state is indexed by topo.LinkTable.
 //
-// The estimation pipeline keeps per-link state in flat vectors indexed by
-// the topology's immutable link table; a map[topo.Link] struct field in
-// these packages reintroduces the per-epoch hashing and allocation churn the
-// dense refactor removed (DESIGN.md "Dense link indexing"). Deliberate
-// boundary shapes can carry a //dophy:allow densebound waiver.
+// The estimation pipeline and the radio models keep per-link state in flat
+// vectors indexed by the topology's immutable link table; a map[topo.Link]
+// struct field in these packages reintroduces the hashing and allocation
+// churn the dense refactors removed (DESIGN.md "Dense link indexing").
+// Deliberate boundary shapes can carry a //dophy:allow densebound waiver.
 // ---------------------------------------------------------------------------
 
 type ruleDenseBound struct{}
@@ -297,7 +297,7 @@ func (ruleDenseBound) Name() string { return "densebound" }
 
 // denseBoundRestricted are the module-relative package prefixes whose
 // per-link state must be dense.
-var denseBoundRestricted = []string{"internal/tomo", "internal/trace", "internal/experiment"}
+var denseBoundRestricted = []string{"internal/tomo", "internal/trace", "internal/experiment", "internal/radio"}
 
 func (ruleDenseBound) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
 	restricted := false

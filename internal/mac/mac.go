@@ -72,7 +72,7 @@ func New(cfg Config, model radio.Model, r *rng.Source, rec *trace.Recorder) *ARQ
 	if cfg.MaxRetx < 0 {
 		panic("mac: MaxRetx must be >= 0")
 	}
-	if cfg.AckLoss < 0 || cfg.AckLoss >= 1 {
+	if !(0 <= cfg.AckLoss && cfg.AckLoss < 1) {
 		panic("mac: AckLoss must be in [0,1)")
 	}
 	return &ARQ{cfg: cfg, model: model, r: r, rec: rec}

@@ -149,6 +149,7 @@ func TestConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"negative retx": {MaxRetx: -1},
 		"ack loss 1":    {MaxRetx: 1, AckLoss: 1},
+		"NaN ack loss":  {MaxRetx: 1, AckLoss: math.NaN()},
 	} {
 		func() {
 			defer func() {

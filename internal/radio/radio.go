@@ -22,6 +22,7 @@
 package radio
 
 import (
+	"fmt"
 	"math"
 
 	"dophy/internal/rng"
@@ -86,11 +87,15 @@ func linkSeed(seed uint64, l topo.Link) uint64 {
 }
 
 // basePRRs assigns every directed link an initial PRR from distance plus
-// shadowing. Both directions share the shadowing draw scaled by an
-// asymmetry perturbation, reflecting measured WSN link asymmetry.
-func basePRRs(t *topo.Topology, bp BaseParams, r *rng.Source) map[topo.Link]float64 {
-	out := make(map[topo.Link]float64)
-	for _, l := range t.Links() {
+// shadowing, indexed by t.LinkTable(). Both directions share the shadowing
+// draw scaled by an asymmetry perturbation, reflecting measured WSN link
+// asymmetry. Draws follow canonical link order, one pair per undirected
+// link, so the assignment is a pure function of the topology and r.
+func basePRRs(t *topo.Topology, bp BaseParams, r *rng.Source) []float64 {
+	lt := t.LinkTable()
+	out := make([]float64, lt.Len())
+	for i := topo.LinkIdx(0); i < lt.Count(); i++ {
+		l := lt.Link(i)
 		if l.From > l.To {
 			continue // handle each undirected pair once
 		}
@@ -101,39 +106,52 @@ func basePRRs(t *topo.Topology, bp BaseParams, r *rng.Source) map[topo.Link]floa
 			shadow = r.Normal(0, bp.ShadowStd)
 		}
 		asym := r.Normal(0, bp.ShadowStd/4)
-		fwd := clamp(expit(logit(base)+shadow+asym), bp.MinPRR, 0.999)
-		rev := clamp(expit(logit(base)+shadow-asym), bp.MinPRR, 0.999)
-		out[l] = fwd
-		out[topo.Link{From: l.To, To: l.From}] = rev
+		out[i] = clamp(expit(logit(base)+shadow+asym), bp.MinPRR, 0.999)
+		out[lt.Index(topo.Link{From: l.To, To: l.From})] = clamp(expit(logit(base)+shadow-asym), bp.MinPRR, 0.999)
 	}
 	return out
 }
 
 // Static is a Model whose link qualities never change.
 type Static struct {
-	prr map[topo.Link]float64
+	lt  *topo.LinkTable
+	prr []float64 // indexed by lt
 }
 
 // NewStatic builds a static model over the topology.
 func NewStatic(t *topo.Topology, bp BaseParams, seed uint64) *Static {
-	return &Static{prr: basePRRs(t, bp, rng.New(seed))}
+	return &Static{lt: t.LinkTable(), prr: basePRRs(t, bp, rng.New(seed))}
 }
 
 // NewStaticUniformLoss builds a static model where every link has the same
 // loss ratio — handy for analytic validation tests.
 func NewStaticUniformLoss(t *topo.Topology, loss float64) *Static {
-	prr := make(map[topo.Link]float64)
-	for _, l := range t.Links() {
-		prr[l] = clamp(1-loss, 0, 1)
+	lt := t.LinkTable()
+	prr := make([]float64, lt.Len())
+	for i := range prr {
+		prr[i] = clamp(1-loss, 0, 1)
 	}
-	return &Static{prr: prr}
+	return &Static{lt: lt, prr: prr}
 }
 
 // PRR implements Model.
-func (s *Static) PRR(l topo.Link, _ sim.Time) float64 { return s.prr[l] }
+func (s *Static) PRR(l topo.Link, _ sim.Time) float64 {
+	i := s.lt.Index(l)
+	if i == topo.NoLink {
+		return 0
+	}
+	return s.prr[i]
+}
 
 // SetPRR overrides one link's quality (used by tests and fault injection).
-func (s *Static) SetPRR(l topo.Link, p float64) { s.prr[l] = clamp(p, 0, 1) }
+// It panics when l is not a link of the topology.
+func (s *Static) SetPRR(l topo.Link, p float64) {
+	i := s.lt.Index(l)
+	if i == topo.NoLink {
+		panic(fmt.Sprintf("radio: SetPRR on %v, which is not a link of the topology", l))
+	}
+	s.prr[i] = clamp(p, 0, 1)
+}
 
 // RandomWalk drifts each link's PRR in logit space with reflecting bounds.
 // Queries are lazy: state advances by whole steps of Interval since the last
@@ -141,13 +159,14 @@ func (s *Static) SetPRR(l topo.Link, p float64) { s.prr[l] = clamp(p, 0, 1) }
 type RandomWalk struct {
 	Interval sim.Time // walk step period (seconds)
 	StepStd  float64  // per-step logit-space std deviation
-	links    map[topo.Link]*walkState
+	lt       *topo.LinkTable
+	links    []walkState // indexed by lt
 }
 
 type walkState struct {
 	logitPRR float64
 	lastStep int64
-	r        *rng.Source
+	r        rng.Source
 }
 
 // NewRandomWalk builds a drifting model. Larger StepStd means faster link
@@ -156,20 +175,22 @@ func NewRandomWalk(t *topo.Topology, bp BaseParams, interval sim.Time, stepStd f
 	if interval <= 0 {
 		panic("radio: random walk interval must be positive")
 	}
+	lt := t.LinkTable()
 	base := basePRRs(t, bp, rng.New(seed))
-	m := &RandomWalk{Interval: interval, StepStd: stepStd, links: make(map[topo.Link]*walkState)}
-	for l, p := range base {
-		m.links[l] = &walkState{logitPRR: logit(p), r: rng.New(linkSeed(seed, l))}
+	m := &RandomWalk{Interval: interval, StepStd: stepStd, lt: lt, links: make([]walkState, len(base))}
+	for i, p := range base {
+		m.links[i] = walkState{logitPRR: logit(p), r: *rng.New(linkSeed(seed, lt.Link(topo.LinkIdx(i))))}
 	}
 	return m
 }
 
 // PRR implements Model, advancing the walk lazily.
 func (m *RandomWalk) PRR(l topo.Link, now sim.Time) float64 {
-	st, ok := m.links[l]
-	if !ok {
+	i := m.lt.Index(l)
+	if i == topo.NoLink {
 		return 0
 	}
+	st := &m.links[i]
 	step := int64(now / m.Interval)
 	for st.lastStep < step {
 		st.logitPRR += st.r.Normal(0, m.StepStd)
@@ -193,14 +214,15 @@ type GilbertElliott struct {
 	MeanGood  sim.Time // mean dwell in good state
 	MeanBad   sim.Time // mean dwell in bad state
 	BadFactor float64  // multiplier applied to base PRR in bad state
-	links     map[topo.Link]*geState
+	lt        *topo.LinkTable
+	links     []geState // indexed by lt
 }
 
 type geState struct {
 	base     float64
 	bad      bool
 	nextFlip sim.Time
-	r        *rng.Source
+	r        rng.Source
 }
 
 // NewGilbertElliott builds the burst model.
@@ -208,21 +230,24 @@ func NewGilbertElliott(t *topo.Topology, bp BaseParams, meanGood, meanBad sim.Ti
 	if meanGood <= 0 || meanBad <= 0 {
 		panic("radio: Gilbert-Elliott dwell times must be positive")
 	}
+	lt := t.LinkTable()
 	base := basePRRs(t, bp, rng.New(seed))
-	m := &GilbertElliott{MeanGood: meanGood, MeanBad: meanBad, BadFactor: badFactor, links: make(map[topo.Link]*geState)}
-	for l, p := range base {
-		r := rng.New(linkSeed(seed, l))
-		m.links[l] = &geState{base: p, r: r, nextFlip: sim.Time(r.Exp(1 / float64(meanGood)))}
+	m := &GilbertElliott{MeanGood: meanGood, MeanBad: meanBad, BadFactor: badFactor, lt: lt, links: make([]geState, len(base))}
+	for i, p := range base {
+		st := &m.links[i]
+		st.base, st.r = p, *rng.New(linkSeed(seed, lt.Link(topo.LinkIdx(i))))
+		st.nextFlip = sim.Time(st.r.Exp(1 / float64(meanGood)))
 	}
 	return m
 }
 
 // PRR implements Model, advancing the Markov chain lazily.
 func (m *GilbertElliott) PRR(l topo.Link, now sim.Time) float64 {
-	st, ok := m.links[l]
-	if !ok {
+	i := m.lt.Index(l)
+	if i == topo.NoLink {
 		return 0
 	}
+	st := &m.links[i]
 	for st.nextFlip <= now {
 		st.bad = !st.bad
 		mean := m.MeanGood

@@ -1,7 +1,9 @@
 package radio
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -95,15 +97,28 @@ func TestStaticSetPRR(t *testing.T) {
 	if got := m.PRR(l, 0); got != 1 {
 		t.Fatalf("SetPRR clamp failed: %v", got)
 	}
+	ghost := topo.Link{From: 1000, To: 1001}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, ghost.String()) {
+			t.Fatalf("SetPRR on a non-link: panic %q does not name the link %v", msg, ghost)
+		}
+	}()
+	m.SetPRR(ghost, 0.5)
 }
 
 func TestUnknownLinkZero(t *testing.T) {
 	tp := testTopo(t)
-	rw := NewRandomWalk(tp, DefaultBase(), 1, 0.1, 1)
-	ge := NewGilbertElliott(tp, DefaultBase(), 10, 5, 0.3, 1)
-	ghost := topo.Link{From: 1000, To: 1001}
-	if rw.PRR(ghost, 0) != 0 || ge.PRR(ghost, 0) != 0 {
-		t.Fatal("unknown link should have PRR 0")
+	for name, m := range map[string]Model{
+		"static":          NewStatic(tp, DefaultBase(), 1),
+		"uniform":         NewStaticUniformLoss(tp, 0.2),
+		"random walk":     NewRandomWalk(tp, DefaultBase(), 1, 0.1, 1),
+		"gilbert-elliott": NewGilbertElliott(tp, DefaultBase(), 10, 5, 0.3, 1),
+	} {
+		for _, ghost := range []topo.Link{{From: 1000, To: 1001}, {From: 0, To: 0}, {From: -1, To: 0}} {
+			if got := m.PRR(ghost, 0); got != 0 {
+				t.Errorf("%s: PRR(%v) = %v, want 0 for a non-link", name, ghost, got)
+			}
+		}
 	}
 }
 
@@ -154,7 +169,7 @@ func TestGilbertElliottTwoLevels(t *testing.T) {
 	tp := testTopo(t)
 	m := NewGilbertElliott(tp, DefaultBase(), 10, 10, 0.25, 11)
 	l := tp.Links()[0]
-	base := m.links[l].base
+	base := m.links[m.lt.Index(l)].base
 	seenGood, seenBad := false, false
 	for now := sim.Time(0); now < 500; now += 0.5 {
 		p := m.PRR(l, now)
@@ -178,7 +193,7 @@ func TestGilbertElliottDwellFractions(t *testing.T) {
 	goodTime := 0.0
 	total := 0.0
 	l := tp.Links()[1]
-	base := m.links[l].base
+	base := m.links[m.lt.Index(l)].base
 	const dt = 0.25
 	for now := sim.Time(0); now < 20000; now += dt {
 		if math.Abs(m.PRR(l, now)-base) < 1e-12 {

@@ -90,7 +90,9 @@ type nodeState struct {
 	parent    topo.NodeID
 	pathETX   float64 // own advertised metric
 	beaconSeq int64
-	neighbors map[topo.NodeID]*neighborInfo
+	// neighbors is aligned with the sorted tp.Neighbors(id): entry k
+	// describes the k-th neighbour (see neighbor).
+	neighbors []neighborInfo
 	// Trickle state (AdaptiveBeacon only).
 	interval   sim.Time
 	lastAdvETX float64 // advertised metric at the last beacon
@@ -168,11 +170,11 @@ func NewSharded(cfg Config, eng *sim.Engine, tp *topo.Topology, model radio.Mode
 	if cfg.Window < 1 {
 		panic("routing: window must be >= 1")
 	}
-	if cfg.RandomizeParentProb < 0 || cfg.RandomizeParentProb > 1 {
+	if !(0 <= cfg.RandomizeParentProb && cfg.RandomizeParentProb <= 1) {
 		panic("routing: RandomizeParentProb must be in [0,1]")
 	}
 	if cfg.AdaptiveBeacon {
-		if cfg.BeaconMin <= 0 || cfg.BeaconMax < cfg.BeaconMin {
+		if !(0 < cfg.BeaconMin && cfg.BeaconMin <= cfg.BeaconMax) {
 			panic("routing: adaptive beacon needs 0 < BeaconMin <= BeaconMax")
 		}
 	}
@@ -184,22 +186,29 @@ func NewSharded(cfg Config, eng *sim.Engine, tp *topo.Topology, model radio.Mode
 		if !p.owns(topo.NodeID(i)) {
 			continue
 		}
-		ns := &nodeState{
+		p.nodes[i] = &nodeState{
 			id:         topo.NodeID(i),
 			parent:     NoParent,
 			pathETX:    math.Inf(1),
 			lastAdvETX: math.Inf(1),
-			neighbors:  make(map[topo.NodeID]*neighborInfo),
+			neighbors:  make([]neighborInfo, len(tp.Neighbors(topo.NodeID(i)))),
 		}
-		for _, nb := range tp.Neighbors(topo.NodeID(i)) {
-			ns.neighbors[nb] = &neighborInfo{}
-		}
-		p.nodes[i] = ns
 	}
 	if p.owns(topo.Sink) {
 		p.nodes[topo.Sink].pathETX = 0
 	}
 	return p
+}
+
+// neighbor returns ns's entry for nb, or nil when nb is not a neighbour.
+//
+//dophy:hotpath
+func (p *Protocol) neighbor(ns *nodeState, nb topo.NodeID) *neighborInfo {
+	k := p.tp.LinkTable().NeighborIndex(topo.Link{From: ns.id, To: nb})
+	if k < 0 {
+		return nil
+	}
+	return &ns.neighbors[k]
 }
 
 // owns reports whether this instance holds id's protocol state.
@@ -304,7 +313,7 @@ func (p *Protocol) beacon(id topo.NodeID) {
 //dophy:hotpath
 func (p *Protocol) receiveBeacon(at, from topo.NodeID, seq int64, advertisedETX float64) {
 	ns := p.nodes[at]
-	info := ns.neighbors[from]
+	info := p.neighbor(ns, from)
 	if info == nil {
 		return // not a neighbour per topology (cannot happen via beacon())
 	}
@@ -349,7 +358,7 @@ func (p *Protocol) updateLinkETX(info *neighborInfo, sample, alpha float64) {
 //dophy:hotpath
 func (p *Protocol) OnDataResult(from, to topo.NodeID, res mac.Result) {
 	ns := p.nodes[from]
-	info := ns.neighbors[to]
+	info := p.neighbor(ns, to)
 	if info == nil {
 		return
 	}
@@ -415,9 +424,9 @@ func (p *Protocol) ReceiveBeacon(at, from topo.NodeID, seq int64, advertisedETX 
 	p.receiveBeacon(at, from, seq, advertisedETX)
 }
 
-// metric returns the routing metric of candidate nb as seen from ns, and
-// whether nb is admissible.
-func (p *Protocol) metric(ns *nodeState, nb topo.NodeID, info *neighborInfo) (float64, bool) {
+// metric returns the routing metric of the neighbour described by info,
+// and whether it is admissible.
+func metric(info *neighborInfo) (float64, bool) {
 	if !info.heard {
 		return 0, false
 	}
@@ -435,10 +444,15 @@ func (p *Protocol) metric(ns *nodeState, nb topo.NodeID, info *neighborInfo) (fl
 // selectParent re-evaluates ns's parent with hysteresis.
 func (p *Protocol) selectParent(id topo.NodeID) {
 	ns := p.nodes[id]
+	cur := ns.parent
 	bestID := NoParent
 	best := math.Inf(1)
-	for nb, info := range ns.neighbors {
-		m, ok := p.metric(ns, nb, info)
+	curM, curOK := 0.0, false
+	for k, nb := range p.tp.Neighbors(id) {
+		m, ok := metric(&ns.neighbors[k])
+		if nb == cur {
+			curM, curOK = m, ok
+		}
 		if !ok {
 			continue
 		}
@@ -456,16 +470,10 @@ func (p *Protocol) selectParent(id topo.NodeID) {
 	if bestID == NoParent {
 		return
 	}
-	cur := ns.parent
-	if cur != NoParent {
-		curInfo := ns.neighbors[cur]
-		if curM, ok := p.metric(ns, cur, curInfo); ok {
-			// Keep the current parent unless the best is clearly better.
-			if bestID != cur && best > curM-p.cfg.Hysteresis {
-				bestID = cur
-				best = curM
-			}
-		}
+	// Keep the current parent unless the best is clearly better.
+	if curOK && bestID != cur && best > curM-p.cfg.Hysteresis {
+		bestID = cur
+		best = curM
 	}
 	p.adoptParent(ns, bestID, best)
 }
@@ -477,9 +485,8 @@ func (p *Protocol) randomizeParent(id topo.NodeID) {
 	metrics := p.metricBuf[:0]
 	// The topology's neighbour lists are sorted by node id, so candidates
 	// come out in deterministic ascending order with no post-sort.
-	for _, nb := range p.tp.Neighbors(id) {
-		info := ns.neighbors[nb]
-		if m, ok := p.metric(ns, nb, info); ok && m < p.cfg.MaxETXSample*4 {
+	for k, nb := range p.tp.Neighbors(id) {
+		if m, ok := metric(&ns.neighbors[k]); ok && m < p.cfg.MaxETXSample*4 {
 			cands = append(cands, nb)
 			metrics = append(metrics, m)
 		}

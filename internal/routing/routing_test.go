@@ -71,12 +71,12 @@ func TestPathETXMonotoneTowardSink(t *testing.T) {
 func TestDataFeedbackImprovesEstimates(t *testing.T) {
 	p, _, _ := bootstrapped(t, 3, 0, 4)
 	ns := p.nodes[1]
-	before := ns.neighbors[0].linkETX
+	before := p.neighbor(ns, 0).linkETX
 	// Report consistently expensive exchanges toward node 0.
 	for i := 0; i < 50; i++ {
 		p.OnDataResult(1, 0, mac.Result{Attempts: 8, Delivered: true, FirstDelivered: 8, AckedAttempt: 8})
 	}
-	after := ns.neighbors[0].linkETX
+	after := p.neighbor(ns, 0).linkETX
 	if after <= before+1 {
 		t.Fatalf("link ETX did not respond to data feedback: %v -> %v", before, after)
 	}
@@ -88,7 +88,7 @@ func TestFailedDataGivesPenalty(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.OnDataResult(2, 1, mac.Result{Attempts: 8, Delivered: false})
 	}
-	got := ns.neighbors[1].linkETX
+	got := p.neighbor(ns, 1).linkETX
 	if got < DefaultConfig().MaxETXSample-1 {
 		t.Fatalf("penalty sample not applied: link ETX = %v", got)
 	}
@@ -182,9 +182,14 @@ func TestConfigValidation(t *testing.T) {
 	tp := chainTopo(2)
 	model := radio.NewStaticUniformLoss(tp, 0)
 	for name, cfg := range map[string]Config{
-		"zero period": {BeaconPeriod: 0, Window: 5},
-		"NaN period":  {BeaconPeriod: sim.Time(math.NaN()), Window: 5},
-		"zero window": {BeaconPeriod: 1, Window: 0},
+		"zero period":        {BeaconPeriod: 0, Window: 5},
+		"NaN period":         {BeaconPeriod: sim.Time(math.NaN()), Window: 5},
+		"zero window":        {BeaconPeriod: 1, Window: 0},
+		"NaN randomize prob": {BeaconPeriod: 1, Window: 5, RandomizeParentProb: math.NaN()},
+		"NaN beacon min": {BeaconPeriod: 1, Window: 5, AdaptiveBeacon: true,
+			BeaconMin: sim.Time(math.NaN()), BeaconMax: 10},
+		"NaN beacon max": {BeaconPeriod: 1, Window: 5, AdaptiveBeacon: true,
+			BeaconMin: 1, BeaconMax: sim.Time(math.NaN())},
 	} {
 		func() {
 			defer func() {
